@@ -3,7 +3,6 @@ spaces, built on prime-implicant explanations."""
 
 from .boolexpr import BoolExpr, parse_expr
 from .classifier import (
-    ClassLabel,
     Classifier,
     ExpressionClassifier,
     TableClassifier,

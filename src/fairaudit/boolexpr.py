@@ -146,12 +146,16 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 _BINARY = {"implies": Implies, "iff": Iff}
 _COMPARISONS = {"=", "le", "lt"}
+# evaluation, printing and CNF encoding also recurse once per level, so
+# the limit stays far below Python's recursion limit
+_MAX_DEPTH = 200
 
 
 class _Parser:
     def __init__(self, text: str, space):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0
         self.space = space
 
     def _peek(self) -> _Token | None:
@@ -205,6 +209,9 @@ class _Parser:
         if tok.kind == ")":
             raise ExprSyntaxError("unexpected ')'", tok.line, tok.column)
         # tok.kind == "("
+        if self.depth == _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column)
+        self.depth += 1
         head = self._next()
         if head.kind != "word":
             raise ExprSyntaxError("expected an operator after '('", head.line, head.column)
@@ -225,6 +232,7 @@ class _Parser:
         closing = self._next()
         if closing.kind != ")":
             raise ExprSyntaxError("expected ')'", closing.line, closing.column)
+        self.depth -= 1
         return expr
 
     def _comparison(self, op: str, head: _Token) -> BoolExpr:

@@ -18,12 +18,6 @@ from .model import ConstrainedSpace, FeatureSpace, Instance
 
 
 @dataclass(frozen=True)
-class ClassLabel:
-    value: int
-    name: str | None = None
-
-
-@dataclass(frozen=True)
 class ExpressionClassifier:
     expr: BoolExpr
 
@@ -252,15 +246,23 @@ def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
     nodes: list[Union[TreeNode, TreeLeaf]] = []
     labels = []
     for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "id" not in item:
-            raise DocumentError(f"tree node #{i} must be an object with an 'id'")
+        if not isinstance(item, dict) or type(item.get("id")) is not int:
+            raise DocumentError(f"tree node #{i} must be an object with an integer 'id'")
         if "label" in item:
+            if type(item["label"]) is not int or item["label"] < 0:
+                raise DocumentError(
+                    f"tree node #{i}: label must be a non-negative integer"
+                )
             nodes.append(TreeLeaf(item["id"], item["label"]))
             labels.append(item["label"])
             continue
         for key in ("feature", "value", "if_true", "if_false"):
             if key not in item:
                 raise DocumentError(f"tree node #{i} misses {key!r}")
+        if not isinstance(item["feature"], str):
+            raise DocumentError(f"tree node #{i}: 'feature' must be a name")
+        if type(item["if_true"]) is not int or type(item["if_false"]) is not int:
+            raise DocumentError(f"tree node #{i}: edges must be integer ids")
         feat = space.feature_named(item["feature"])
         if feat is None:
             raise ModelSemanticError(f"tree node #{i}: unknown feature {item['feature']!r}")
@@ -274,6 +276,8 @@ def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
             TreeNode(item["id"], feat.index, value, item["if_true"], item["if_false"])
         )
     class_count = obj.get("classes", max(labels, default=0) + 1)
+    if type(class_count) is not int:
+        raise DocumentError("'classes' must be an integer")
     return TreeClassifier(tuple(nodes), raw[0]["id"], max(class_count, 2))
 
 

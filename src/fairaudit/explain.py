@@ -4,13 +4,21 @@ A weak AXp is a feature set whose values at the decision's instance
 force the classifier's output on every constrained instance. AXps are
 the subset-minimal ones; prime-implicant explanations are the AXps
 whose coverage is not properly contained in another AXp's coverage.
+
+AXps are enumerated by the AXp/CXp duality (Ignatiev, Narodytska, Asher
+& Marques-Silva, "From contrastive to abductive explanations and back
+again", AI*IA 2020): a feature set is a weak AXp exactly when it meets
+the difference set {i : y_i != x_i} of every constrained instance y
+labelled otherwise, so the AXps are the minimal hitting sets of the
+minimal difference sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .classifier import Classifier
@@ -82,26 +90,6 @@ def strictly_subsumes(
     return cov_b & ~cov_a == 0 and cov_a != cov_b
 
 
-_DENSE_LIMIT = 16
-_subset_orders: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-
-
-def _subset_order(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All bitmasks over n features as (mask, indices), sorted by size
-    then lexicographic indices; cached per n."""
-    order = _subset_orders.get(n)
-    if order is None:
-        order = sorted(
-            (
-                (mask, tuple(i for i in range(n) if mask >> i & 1))
-                for mask in range(1 << n)
-            ),
-            key=lambda pair: (len(pair[1]), pair[1]),
-        )
-        _subset_orders[n] = order
-    return order
-
-
 def _axp_masks(
     cs: ConstrainedSpace, d: Decision, cap: int
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -111,52 +99,38 @@ def _axp_masks(
     if n > cap:
         raise CapacityError(f"{n} features exceed the subset-enumeration cap {cap}")
     key = (d.classifier, d.instance)
-    found = cs.axp_cache.get(key)
-    if found is None:
-        good = cs.label_mask(d.classifier, d.label)
-        masks = [cs.value_mask(i, d.instance[i]) for i in range(n)]
-        full = cs.full_mask
-        if n <= _DENSE_LIMIT:
-            found = _axp_masks_dense(n, masks, full, good)
-        else:
-            found = _axp_masks_sparse(n, masks, full, good)
-        cs.axp_cache[key] = found
-    return found
-
-
-def _axp_masks_dense(n, masks, full, good) -> list[tuple[tuple[int, ...], int]]:
-    # one AND per subset via the lattice: cov[S] = cov[S \ low] & low's mask
-    cov = [0] * (1 << n)
-    cov[0] = full
-    not_good = full & ~good
-    weak = [not_good == 0] + [False] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        c = cov[mask ^ low] & masks[low.bit_length() - 1]
-        cov[mask] = c
-        weak[mask] = c & not_good == 0
-    found = []
-    for mask, indices in _subset_order(n):
-        if weak[mask] and all(not weak[mask ^ (1 << i)] for i in indices):
-            found.append((indices, cov[mask]))
-    return found
-
-
-def _axp_masks_sparse(n, masks, full, good) -> list[tuple[tuple[int, ...], int]]:
-    found: list[tuple[tuple[int, ...], int]] = []
-    found_sets: list[frozenset[int]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            as_set = frozenset(combo)
-            # a superset of a smaller AXp is weak but not minimal
-            if any(s <= as_set for s in found_sets):
-                continue
-            cov = full
-            for i in combo:
-                cov &= masks[i]
-            if cov & ~good == 0:
-                found.append((combo, cov))
-                found_sets.append(as_set)
+    if key in cs.axp_cache:
+        return cs.axp_cache[key]
+    # difference sets of the other-label instances, feature i at bit i * w
+    w, codes = cs.packed_codes()
+    singles = [1 << (i * w) for i in range(n)]
+    at = codes[cs.position(d.instance)]
+    diffs = {c ^ at for c, lab in zip(codes, cs.labels(d.classifier)) if lab != d.label}
+    if w > 1:  # fold each feature's field onto its lowest bit
+        low = sum(singles)
+        diffs = {low & reduce(or_, [z >> b for b in range(w)]) for z in diffs}
+    minimal: list[int] = []
+    for s in sorted(diffs, key=int.bit_count):
+        if all(m & ~s for m in minimal):
+            minimal.append(s)
+    # Berge: extend the minimal transversals so far to the next set; an
+    # extension can only be a superset of one that already hits that set
+    hitting = [0]
+    for s in minimal:
+        hit = [t for t in hitting if t & s]
+        hitting = hit + [
+            t | e
+            for t in hitting
+            if not t & s
+            for e in singles
+            if e & s and all(h & ~(t | e) for h in hit)
+        ]
+    axps = sorted(
+        (tuple(i for i, e in enumerate(singles) if t & e) for t in hitting),
+        key=lambda feats: (len(feats), feats),
+    )
+    found = [(feats, cs.coverage_mask(d.instance, feats)) for feats in axps]
+    cs.axp_cache[key] = found
     return found
 
 

@@ -27,8 +27,8 @@ from .errors import DocumentError, FtuViolationError, ModelSemanticError
 from .explain import (
     Decision,
     Explanation,
-    _axp_masks,
     DEFAULT_SUBSET_CAP,
+    all_axps,
     make_decision,
     pi_explanations,
 )
@@ -216,9 +216,9 @@ def decision_disentangled(
         return False
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
-    for feats, cov in _axp_masks(cs, d, cap):
+    for e in all_axps(cs, d, cap):
         for p in cs.space.protected:
-            cov_q = cov & cs.coverage_mask(x, (p,))
+            cov_q = cs.coverage_mask(x, e.features + (p,))
             if cov_n & ~cov_q == 0 and cov_n != cov_q:
                 return False
     return True

@@ -236,6 +236,7 @@ class ConstrainedSpace:
         self._value_masks: list[dict[Value, int]] | None = None
         self._label_cache: dict[object, tuple[int, ...]] = {}
         self._label_masks: dict[tuple, int] = {}
+        self._codes: tuple[int, list[int]] | None = None
         self.axp_cache: dict[tuple, list] = {}
 
     def __len__(self) -> int:
@@ -279,6 +280,18 @@ class ConstrainedSpace:
             if not mask:
                 break
         return mask
+
+    def packed_codes(self) -> tuple[int, list[int]]:
+        """(w, codes): each instance's code holds feature i's domain index
+        in bits [i * w, (i + 1) * w)."""
+        if self._codes is None:
+            w = max(len(f.domain) - 1 for f in self.space.features).bit_length() or 1
+            shifted = [
+                {v: j << (i * w) for j, v in enumerate(f.domain)}
+                for i, f in enumerate(self.space.features)
+            ]
+            self._codes = w, [sum(map(dict.get, shifted, x)) for x in self.instances]
+        return self._codes
 
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
         return tuple(

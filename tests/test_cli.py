@@ -301,3 +301,45 @@ class TestExitCodes:
         code, out, err = run(capsys, "audit", fixture("spouses"), "--cap", "2")
         assert code == 2
         assert "cap" in err
+
+    _TEST = {"id": 0, "feature": "e", "value": True, "if_true": 1, "if_false": 2}
+    _LEAVES = [{"id": 1, "label": 1}, {"id": 2, "label": 0}]
+
+    @pytest.mark.parametrize(
+        "tree, constraint",
+        [
+            ({"nodes": [_TEST, {"id": 1, "label": "x"}, _LEAVES[1]]}, "e"),
+            ({"nodes": [_TEST, *_LEAVES], "classes": "3"}, "e"),
+            ({"nodes": [{**_TEST, "id": [0]}, *_LEAVES]}, "e"),
+            ({"nodes": [{**_TEST, "if_true": [1]}, *_LEAVES]}, "e"),
+            ({"nodes": [{**_TEST, "feature": ["e"]}, *_LEAVES]}, "e"),
+            ({"nodes": [_TEST, *_LEAVES]}, "(not " * 3000 + "e" + ")" * 3000),
+        ],
+        ids=[
+            "leaf-label-str",
+            "classes-str",
+            "id-list",
+            "edge-list",
+            "feature-list",
+            "nesting-3000",
+        ],
+    )
+    def test_malformed_tree_or_expression_is_exit_2(
+        self, capsys, tmp_path, tree, constraint
+    ):
+        doc = tmp_path / "bad.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": "e", "domain": [False, True]},
+                        {"name": "m", "domain": [False, True], "protected": True},
+                    ],
+                    "constraints": [constraint],
+                    "classifier": {"form": "tree", **tree},
+                }
+            )
+        )
+        code, out, err = run(capsys, "audit", str(doc), "--notion", "universal")
+        assert code == 2
+        assert "error:" in err

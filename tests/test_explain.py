@@ -7,9 +7,15 @@ import pytest
 
 from fairaudit import (
     CapacityError,
+    Constraint,
+    ConstraintSet,
     ExpressionClassifier,
+    Feature,
+    FeatureSpace,
     ModelSemanticError,
     all_axps,
+    coverage,
+    enumerate_space,
     is_weak_axp,
     make_decision,
     one_axp,
@@ -172,6 +178,62 @@ class TestAllAxps:
         cs = loaded.constrained()
         with pytest.raises(ModelSemanticError):
             make_decision(cs, loaded.classifier, (False, True))
+
+
+class TestAxpsAgainstDefinition:
+    """all_axps against brute force over every subset: S is an AXp when
+    S is weak and no S minus one feature is."""
+
+    @staticmethod
+    def definition(cs, d):
+        n = cs.space.n
+        weak = {
+            s: is_weak_axp(cs, d, s)
+            for size in range(n + 1)
+            for s in itertools.combinations(range(n), size)
+        }
+        return [
+            s
+            for s, w in weak.items()
+            if w and not any(weak[s[:j] + s[j + 1 :]] for j in range(len(s)))
+        ]
+
+    def check(self, cs, k, x):
+        d = make_decision(cs, k, x)
+        got = all_axps(cs, d)
+        assert [e.features for e in got] == self.definition(cs, d)
+        for e in got:
+            assert e.coverage_size == len(coverage(cs, x, e.features))
+
+    def test_random_models_with_multivalued_domains(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            rm = random_model(rng, max_features=6, max_domain=5)
+            cs = enumerate_space(rm.space, rm.constraints)
+            for x in cs.instances:
+                self.check(cs, rm.classifier, x)
+
+    def test_seventeen_one_hot_features(self):
+        groups = [range(0, 4), range(4, 8), range(8, 12), range(12, 17)]
+        space = FeatureSpace(
+            [Feature(i, f"f{i}", (False, True), i < 4) for i in range(17)]
+        )
+        texts = []
+        for g in groups:
+            texts.append("(or " + " ".join(f"f{i}" for i in g) + ")")
+            texts += [
+                f"(not (and f{i} f{j}))" for i, j in itertools.combinations(g, 2)
+            ]
+        constraints = ConstraintSet(
+            tuple(Constraint(parse_expr(t, space)) for t in texts)
+        )
+        k = ExpressionClassifier(
+            parse_expr("(or (and f0 f5) (and f9 f13) (and f6 f16) f11)", space)
+        )
+        cs = enumerate_space(space, constraints)
+        assert len(cs) == 320
+        for x in cs.instances[23::69]:
+            self.check(cs, k, x)
 
 
 class TestPiExplanations:
