@@ -14,7 +14,9 @@ constants must belong to the compared feature's declared domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from functools import reduce
+from operator import and_, or_
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ExprSyntaxError, ModelSemanticError
 
@@ -312,6 +314,45 @@ def evaluate(expr: BoolExpr, values: Sequence[Value]) -> bool:
     if isinstance(expr, Lt):
         return values[expr.feature] < expr.bound
     raise TypeError(f"not a BoolExpr: {expr!r}")
+
+
+def evaluate_mask(
+    expr: BoolExpr, masks: Sequence[Mapping[Value, int]], ones: int
+) -> int:
+    """`evaluate` on many instances at once, one bit each.
+
+    masks[i][v] has bit r set when instance r gives feature i value v;
+    ones has a bit set for every instance. Bit r of the result is
+    evaluate(expr, instance r).
+    """
+
+    def values(feature: int, test) -> int:
+        return reduce(or_, (m for v, m in masks[feature].items() if test(v)), 0)
+
+    def ev(e: BoolExpr) -> int:
+        if isinstance(e, Const):
+            return ones if e.value else 0
+        if isinstance(e, Var):
+            return values(e.feature, bool)
+        if isinstance(e, Not):
+            return ones ^ ev(e.arg)
+        if isinstance(e, And):
+            return reduce(and_, map(ev, e.args), ones)
+        if isinstance(e, Or):
+            return reduce(or_, map(ev, e.args), 0)
+        if isinstance(e, Implies):
+            return (ones ^ ev(e.lhs)) | ev(e.rhs)
+        if isinstance(e, Iff):
+            return ones ^ ev(e.lhs) ^ ev(e.rhs)
+        if isinstance(e, Eq):
+            return masks[e.feature].get(e.value, 0)
+        if isinstance(e, Le):
+            return values(e.feature, lambda v: v <= e.bound)
+        if isinstance(e, Lt):
+            return values(e.feature, lambda v: v < e.bound)
+        raise TypeError(f"not a BoolExpr: {e!r}")
+
+    return ev(expr)
 
 
 def scope(expr: BoolExpr) -> frozenset[int]:

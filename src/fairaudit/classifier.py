@@ -8,18 +8,40 @@ label 1); tables and trees may carry any number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+import itertools
+from dataclasses import dataclass, fields
+from functools import partial, reduce
+from operator import add
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value
 from .errors import DocumentError, ModelSemanticError
-from .model import ConstrainedSpace, FeatureSpace, Instance
+from .model import ConstrainedSpace, FeatureSpace, Instance, bit_flags, rank_masks
+
+# each form's rank_labels(masks, size) gives its labels over the full
+# space in rank order, from model.rank_masks of the space's domains
+RankMasks = Sequence[Mapping[Value, int]]
+
+
+def _hash_fields(k) -> None:
+    """Classifiers key caches, so each hashes its fields once; equality
+    stays the dataclass's field-by-field comparison."""
+    object.__setattr__(k, "_hash", hash(tuple(getattr(k, f.name) for f in fields(k))))
+
+
+def _stored_hash(k) -> int:
+    return k._hash
 
 
 @dataclass(frozen=True)
 class ExpressionClassifier:
     expr: BoolExpr
+
+    def __post_init__(self):
+        _hash_fields(self)
+
+    __hash__ = _stored_hash
 
     @property
     def class_count(self) -> int:
@@ -27,6 +49,9 @@ class ExpressionClassifier:
 
     def evaluate(self, x: Instance) -> int:
         return 1 if boolexpr.evaluate(self.expr, x) else 0
+
+    def rank_labels(self, masks: RankMasks, size: int) -> bytes:
+        return bit_flags(boolexpr.evaluate_mask(self.expr, masks, (1 << size) - 1), size)
 
 
 @dataclass(frozen=True)
@@ -50,6 +75,9 @@ class TableClassifier:
         for lab in self.labels:
             if not 0 <= lab < self.class_count:
                 raise ModelSemanticError(f"label {lab} out of range")
+        _hash_fields(self)
+
+    __hash__ = _stored_hash
 
     def _rank(self, x: Instance) -> int:
         rank = 0
@@ -59,6 +87,9 @@ class TableClassifier:
 
     def evaluate(self, x: Instance) -> int:
         return self.labels[self._rank(x)]
+
+    def rank_labels(self, masks: RankMasks, size: int) -> tuple[int, ...]:
+        return self.labels
 
 
 @dataclass(frozen=True)
@@ -93,27 +124,40 @@ class TreeClassifier:
         object.__setattr__(self, "_by_id", by_id)
         if self.root not in by_id:
             raise ModelSemanticError(f"tree root {self.root} is not a node")
-        self._check_paths(self.root, set(), frozenset())
+        self._check_paths()
+        _hash_fields(self)
 
-    def _check_paths(self, node_id: int, on_stack: set, tested: frozenset):
-        if node_id in on_stack:
-            raise ModelSemanticError("tree contains a cycle")
-        node = self._by_id.get(node_id)
-        if node is None:
-            raise ModelSemanticError(f"tree edge points to missing node {node_id}")
-        if isinstance(node, TreeLeaf):
-            if not 0 <= node.label < self.class_count:
-                raise ModelSemanticError(f"leaf label {node.label} out of range")
-            return
-        test = (node.feature, node.value)
-        if test in tested:
-            raise ModelSemanticError(
-                f"path tests feature {node.feature} = {node.value!r} twice"
-            )
-        on_stack.add(node_id)
-        self._check_paths(node.if_true, on_stack, tested | {test})
-        self._check_paths(node.if_false, on_stack, tested | {test})
-        on_stack.remove(node_id)
+    __hash__ = _stored_hash
+
+    def _check_paths(self) -> None:
+        """Depth first from the root, with an explicit stack: an entry
+        (id, True) enters a node, (id, False) leaves it."""
+        on_path: set[int] = set()
+        tested: set[tuple] = set()
+        stack = [(self.root, True)]
+        while stack:
+            node_id, entering = stack.pop()
+            node = self._by_id.get(node_id)
+            if not entering:
+                on_path.remove(node_id)
+                tested.remove((node.feature, node.value))
+                continue
+            if node_id in on_path:
+                raise ModelSemanticError("tree contains a cycle")
+            if node is None:
+                raise ModelSemanticError(f"tree edge points to missing node {node_id}")
+            if isinstance(node, TreeLeaf):
+                if not 0 <= node.label < self.class_count:
+                    raise ModelSemanticError(f"leaf label {node.label} out of range")
+                continue
+            test = (node.feature, node.value)
+            if test in tested:
+                raise ModelSemanticError(
+                    f"path tests feature {node.feature} = {node.value!r} twice"
+                )
+            on_path.add(node_id)
+            tested.add(test)
+            stack += [(node_id, False), (node.if_false, True), (node.if_true, True)]
 
     def evaluate(self, x: Instance) -> int:
         node = self._by_id[self.root]
@@ -121,6 +165,25 @@ class TreeClassifier:
             branch = node.if_true if x[node.feature] == node.value else node.if_false
             node = self._by_id[branch]
         return node.label
+
+    def rank_labels(self, masks: RankMasks, size: int) -> Iterable[int]:
+        """Each label's ranks are the OR of the masks of the root-to-leaf
+        paths ending in that label; a path's mask ANDs its tests."""
+        by_label: dict[int, int] = {}
+        stack = [(self.root, (1 << size) - 1)]
+        while stack:
+            node_id, reach = stack.pop()
+            node = self._by_id[node_id]
+            if isinstance(node, TreeLeaf):
+                by_label[node.label] = by_label.get(node.label, 0) | reach
+                continue
+            hit = masks[node.feature].get(node.value, 0)
+            for child, sub in ((node.if_true, reach & hit), (node.if_false, reach & ~hit)):
+                if sub:  # no rank follows an empty path, so the walk stays finite
+                    stack.append((child, sub))
+        # the label masks are disjoint: sum label * flag over the labels
+        rows = [map(lab.__mul__, bit_flags(m, size)) for lab, m in by_label.items() if lab]
+        return reduce(partial(map, add), rows) if rows else bytes(size)
 
 
 Classifier = Union[ExpressionClassifier, TableClassifier, TreeClassifier]
@@ -147,11 +210,9 @@ def equivalent_on(
 
 def to_table(k: Classifier, space: FeatureSpace) -> TableClassifier:
     """Tabulate any classifier over the full space."""
-    import itertools
-
     domains = tuple(f.domain for f in space.features)
-    labels = tuple(k.evaluate(x) for x in itertools.product(*domains))
-    return TableClassifier(domains, labels, k.class_count)
+    labels = k.rank_labels(rank_masks(domains), space.full_size())
+    return TableClassifier(domains, tuple(labels), k.class_count)
 
 
 def expression_to_tree(expr: BoolExpr, space: FeatureSpace) -> TreeClassifier:
@@ -209,8 +270,6 @@ def parse_classifier(obj, space: FeatureSpace) -> Classifier:
 
 
 def _parse_table(obj: dict, space: FeatureSpace) -> TableClassifier:
-    import itertools
-
     rows = obj.get("rows")
     if not isinstance(rows, list):
         raise DocumentError("table classifier needs a 'rows' list")
@@ -283,8 +342,6 @@ def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
 
 def classifier_to_json(k: Classifier, space: FeatureSpace) -> dict:
     """Canonical JSON form, stable across runs."""
-    import itertools
-
     if isinstance(k, ExpressionClassifier):
         return {"form": "expression", "expr": boolexpr.pretty(k.expr, space.names)}
     if isinstance(k, TableClassifier):

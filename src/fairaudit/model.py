@@ -13,11 +13,12 @@ ordered as declared in each feature's domain.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, product
+from math import prod
 from typing import Iterable, Sequence
 
 from . import boolexpr
@@ -148,9 +149,6 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.constraints)
 
-    def satisfied_by(self, x: Instance) -> bool:
-        return all(boolexpr.evaluate(c.expr, x) for c in self.constraints)
-
     def first_violated(self, x: Instance) -> Constraint | None:
         for c in self.constraints:
             if not boolexpr.evaluate(c.expr, x):
@@ -221,18 +219,27 @@ class ConstrainedSpace:
 
     Coverage sets are exposed as bitmasks indexed by position in
     ``instances``; bit i set means ``instances[i]`` belongs to the set.
+    Underneath, the full space is indexed by rank, the position in
+    ``itertools.product`` order: ``rank_masks[i][v]`` has bit r set when
+    rank r gives feature i value v, and ``selector[r]`` is 1 when rank r
+    satisfies the constraints. Masks over positions are rank masks
+    pushed through the selector.
     """
 
     def __init__(
         self,
         space: FeatureSpace,
         constraints: ConstraintSet,
-        instances: tuple[Instance, ...],
+        rank_masks: list[dict[Value, int]],
+        selector: bytes,
     ):
         self.space = space
         self.constraints = constraints
-        self.instances = instances
-        self._position = {x: i for i, x in enumerate(instances)}
+        self.rank_masks = rank_masks
+        self.selector = selector
+        domains = [f.domain for f in space.features]
+        self.instances = tuple(compress(product(*domains), selector))
+        self._position = {x: i for i, x in enumerate(self.instances)}
         self._value_masks: list[dict[Value, int]] | None = None
         self._label_cache: dict[object, tuple[int, ...]] = {}
         self._label_masks: dict[tuple, int] = {}
@@ -259,14 +266,19 @@ class ConstrainedSpace:
 
     def _masks(self) -> list[dict[Value, int]]:
         if self._value_masks is None:
-            masks: list[dict[Value, int]] = [
-                {v: 0 for v in f.domain} for f in self.space.features
+            size = len(self.selector)
+            # a byte per rank, highest rank first, as the digits of a rank
+            # mask are; 0x80 marks the ranks outside F[C] for deletion
+            outside = int.from_bytes(self.selector.translate(_OUTSIDE), "little")
+
+            def compact(m: int) -> int:
+                digits = int.from_bytes(format(m, f"0{size}b").encode(), "big")
+                kept = (digits | outside).to_bytes(size, "big").translate(None, _MARKED)
+                return int(kept or b"0", 2)
+
+            self._value_masks = [
+                {v: compact(m) for v, m in feat.items()} for feat in self.rank_masks
             ]
-            for pos, x in enumerate(self.instances):
-                bit = 1 << pos
-                for i, v in enumerate(x):
-                    masks[i][v] |= bit
-            self._value_masks = masks
         return self._value_masks
 
     def value_mask(self, feature: int, value: Value) -> int:
@@ -294,14 +306,13 @@ class ConstrainedSpace:
         return self._codes
 
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
-        return tuple(
-            x for pos, x in enumerate(self.instances) if mask >> pos & 1
-        )
+        return tuple(compress(self.instances, bit_flags(mask, len(self.instances))))
 
     def labels(self, classifier) -> tuple[int, ...]:
         got = self._label_cache.get(classifier)
         if got is None:
-            got = tuple(classifier.evaluate(x) for x in self.instances)
+            ranked = classifier.rank_labels(self.rank_masks, len(self.selector))
+            got = tuple(compress(ranked, self.selector))
             self._label_cache[classifier] = got
         return got
 
@@ -309,12 +320,43 @@ class ConstrainedSpace:
         key = (classifier, label)
         mask = self._label_masks.get(key)
         if mask is None:
-            mask = 0
-            for pos, lab in enumerate(self.labels(classifier)):
-                if lab == label:
-                    mask |= 1 << pos
+            mask = pack_bits(map(label.__eq__, self.labels(classifier)))
             self._label_masks[key] = mask
         return mask
+
+
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
+_OUTSIDE = bytes.maketrans(b"\0\1", b"\x80\0")
+_MARKED = b"\xb0\xb1"  # the digits "0" and "1" marked with 0x80
+
+
+def bit_flags(mask: int, size: int) -> bytes:
+    """Byte i is bit i of mask (0 or 1), for a mask below 2 ** size."""
+    return format(mask, f"0{size}b").encode()[::-1].translate(_FLAG)
+
+
+def pack_bits(flags: Iterable[int]) -> int:
+    """The mask whose bit i is flag i; flags are 0/1 or booleans."""
+    return int(bytes(flags).translate(_DIGIT)[::-1] or b"0", 2)
+
+
+def rank_masks(domains: Sequence[Sequence[Value]]) -> list[dict[Value, int]]:
+    """Per feature and value, the ranks of ``product(*domains)`` that
+    give the feature that value: bit r of masks[i][v]."""
+    size = prod(map(len, domains))
+    masks = []
+    period = size  # ranks per full cycle of feature i's values
+    for d in domains:
+        run = period // len(d)  # consecutive ranks sharing one value
+        # most significant digit first: the highest rank comes first
+        masks.append({
+            v: int(("0" * (run * (len(d) - 1 - j)) + "1" * run + "0" * (run * j))
+                   * (size // period), 2)
+            for j, v in enumerate(d)
+        })
+        period = run
+    return masks
 
 
 def enumerate_space(
@@ -323,15 +365,15 @@ def enumerate_space(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConstrainedSpace:
     """Materialize the constrained instance set in canonical order."""
-    if space.full_size() > cap:
-        raise CapacityError(
-            f"feature space has {space.full_size()} instances, cap is {cap}"
-        )
-    domains = [f.domain for f in space.features]
-    instances = tuple(
-        x for x in itertools.product(*domains) if constraints.satisfied_by(x)
-    )
-    return ConstrainedSpace(space, constraints, instances)
+    size = space.full_size()
+    if size > cap:
+        raise CapacityError(f"feature space has {size} instances, cap is {cap}")
+    masks = rank_masks([f.domain for f in space.features])
+    ones = (1 << size) - 1
+    satisfied = ones
+    for c in constraints:
+        satisfied &= boolexpr.evaluate_mask(c.expr, masks, ones)
+    return ConstrainedSpace(space, constraints, masks, bit_flags(satisfied, size))
 
 
 def unconstrained(space: FeatureSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> ConstrainedSpace:

@@ -343,3 +343,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "audit", str(doc), "--notion", "universal")
         assert code == 2
         assert "error:" in err
+
+    def test_long_tree_chain_is_audited(self, capsys, tmp_path):
+        # 1,500 chained tests on one feature: deeper than Python's
+        # recursion limit, so the tree must be walked with a stack
+        depth = 1500
+        chain = [
+            {"id": i, "feature": "n", "value": i, "if_true": depth + i, "if_false": i + 1}
+            for i in range(depth)
+        ]
+        leaves = [{"id": depth + i, "label": int(i == 700)} for i in range(depth + 1)]
+        doc = tmp_path / "chain.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": "n", "domain": list(range(depth + 1))},
+                        {"name": "m", "domain": [False, True], "protected": True},
+                    ],
+                    "constraints": [],
+                    "classifier": {"form": "tree", "nodes": chain + leaves},
+                }
+            )
+        )
+        code, out, err = run(capsys, "audit", str(doc))
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["space"]["size_constrained"] == 2 * (depth + 1)

@@ -309,3 +309,154 @@ class TestPartialAssignment:
         )
         pa = PartialAssignment.restrict((True, 2), {0, 1})
         assert pa.by_name(space) == {"a": True, "b": 2}
+
+
+class TestBitParallelAgainstBruteForce:
+    """The constrained space, its masks and labels against per-instance
+    evaluation over itertools.product."""
+
+    @staticmethod
+    def check(space, constraints, classifiers=(), probes=8):
+        import itertools
+        import random
+
+        from fairaudit import boolexpr
+
+        domains = [f.domain for f in space.features]
+        brute = [
+            x
+            for x in itertools.product(*domains)
+            if all(boolexpr.evaluate(c.expr, x) for c in constraints)
+        ]
+        cs = enumerate_space(space, constraints)
+        assert list(cs.instances) == brute
+
+        def bits(pred):
+            return sum(1 << p for p, x in enumerate(brute) if pred(x))
+
+        for i, f in enumerate(space.features):
+            for v in f.domain:
+                assert cs.value_mask(i, v) == bits(lambda x: x[i] == v)
+        for k in classifiers:
+            assert cs.labels(k) == tuple(k.evaluate(x) for x in brute)
+            for label in range(k.class_count):
+                assert cs.label_mask(k, label) == bits(lambda x: k.evaluate(x) == label)
+        rng = random.Random(len(brute))
+        for mask in [0, cs.full_mask] + [rng.getrandbits(len(brute)) for _ in range(probes)]:
+            assert cs.instances_of_mask(mask) == tuple(
+                x for p, x in enumerate(brute) if mask >> p & 1
+            )
+        return cs
+
+    def test_seeded_random_models(self):
+        import random
+
+        from fairaudit.classifier import (
+            ExpressionClassifier,
+            expression_to_tree,
+            to_table,
+        )
+        from fairaudit.model import ConstraintSet
+        from fairaudit.randmodels import random_model
+
+        rng = random.Random(2024)
+        for _ in range(120):
+            m = random_model(rng, max_features=6, max_domain=5)
+            forms = [m.classifier]
+            if isinstance(m.classifier, ExpressionClassifier):
+                forms += [
+                    to_table(m.classifier, m.space),
+                    expression_to_tree(m.classifier.expr, m.space),
+                ]
+            for constraints in (m.constraints, ConstraintSet()):
+                self.check(m.space, constraints, forms, probes=2)
+
+    def test_every_operator(self):
+        from fairaudit.boolexpr import And, Const, Eq, Iff, Implies, Le, Lt, Not, Or, Var
+        from fairaudit.classifier import ExpressionClassifier
+        from fairaudit.model import Constraint, ConstraintSet
+
+        space = FeatureSpace(
+            [
+                Feature(0, "a", (False, True), True),
+                Feature(1, "n", (3, 0, 2, 1), False),
+                Feature(2, "b", (True, False), False),
+                Feature(3, "m", (0, 1, 2), False),
+            ]
+        )
+        exprs = [
+            Var(0),
+            Not(Var(2)),
+            And((Var(0), Eq(1, 2), Var(2))),
+            Or((Eq(2, False), Le(3, 0), Lt(1, 2))),
+            Implies(Var(0), Le(1, 1)),
+            Iff(Lt(3, 2), Var(2)),
+            Const(True),
+            Const(False),
+            Eq(3, 1),
+            Lt(1, 0),
+        ]
+        for e in exprs:
+            self.check(space, ConstraintSet((Constraint(e),)), [ExpressionClassifier(e)])
+        pairs = ConstraintSet((Constraint(exprs[3]), Constraint(exprs[5])))
+        self.check(space, pairs, [ExpressionClassifier(e) for e in exprs])
+
+    def test_singleton_domains_and_empty_space(self):
+        from fairaudit.boolexpr import Const, Eq, Var
+        from fairaudit.classifier import ExpressionClassifier, TableClassifier
+        from fairaudit.model import Constraint, ConstraintSet
+
+        space = FeatureSpace(
+            [
+                Feature(0, "a", (True,), False),
+                Feature(1, "n", (2,), True),
+                Feature(2, "b", (False, True), False),
+            ]
+        )
+        table = TableClassifier(tuple(f.domain for f in space.features), (1, 0), 2)
+        k = ExpressionClassifier(Eq(2, False))
+        cs = self.check(space, ConstraintSet((Constraint(Var(0)),)), [k, table])
+        assert len(cs) == 2
+        empty = ConstraintSet((Constraint(Const(False)),))
+        cs = self.check(space, empty, [k, table])
+        assert cs.instances == () and cs.labels(k) == () and cs.full_mask == 0
+        single = FeatureSpace([Feature(0, "a", (False,), False)])
+        self.check(single, ConstraintSet(), [ExpressionClassifier(Var(0))])
+
+    def test_multiclass_table_and_tree(self):
+        import random
+
+        from fairaudit.boolexpr import Or, Le, Var
+        from fairaudit.classifier import TableClassifier, TreeClassifier, TreeLeaf, TreeNode
+        from fairaudit.model import Constraint, ConstraintSet
+
+        space = FeatureSpace(
+            [
+                Feature(0, "n", (0, 1, 2), False),
+                Feature(1, "a", (False, True), True),
+                Feature(2, "m", (4, 5, 6, 7), False),
+            ]
+        )
+        rng = random.Random(5)
+        domains = tuple(f.domain for f in space.features)
+        table = TableClassifier(domains, tuple(rng.randrange(4) for _ in range(24)), 4)
+        tree = TreeClassifier(
+            (
+                TreeNode(0, 0, 1, 1, 2),
+                TreeNode(1, 2, 6, 3, 4),
+                TreeNode(2, 1, True, 5, 6),
+                TreeLeaf(3, 300),
+                TreeNode(4, 0, 2, 7, 8),  # shared by nodes 1 and 6
+                TreeLeaf(5, 2),
+                TreeNode(6, 2, 4, 9, 4),
+                TreeLeaf(7, 3),
+                TreeLeaf(8, 0),
+                TreeLeaf(9, 1),
+            ),
+            0,
+            301,
+        )
+        constraints = ConstraintSet((Constraint(Or((Le(2, 5), Var(1)))),))
+        for cons in (constraints, ConstraintSet()):
+            cs = self.check(space, cons, [table, tree])
+            assert set(cs.labels(tree)) == {0, 1, 2, 3, 300}
