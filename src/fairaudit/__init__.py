@@ -57,6 +57,7 @@ from .model import (
     constraint_scope_profile,
     coverage,
     enumerate_space,
+    parse_document,
     parse_model,
     render_model,
     unconstrained,

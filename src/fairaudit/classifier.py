@@ -190,7 +190,7 @@ Classifier = Union[ExpressionClassifier, TableClassifier, TreeClassifier]
 
 
 def evaluate(space: FeatureSpace, k: Classifier, x: Sequence[Value]) -> int:
-    """Evaluate with instance validation; internal loops call k.evaluate."""
+    """Evaluate with instance validation; k.evaluate skips the check."""
     return k.evaluate(space.validate_instance(x))
 
 

@@ -2,9 +2,10 @@
 emit JSON (default) or text reports.
 
 Exit codes: 0 when the requested notion holds, 1 when it is violated,
-2 on usage, parse, or capacity errors. Reports are byte-stable for
-identical inputs and flags; pass --timing to include wall-clock
-milliseconds (which breaks byte-stability, so it is off by default).
+2 on usage, parse, or capacity errors and on internal errors. Reports
+are byte-stable for identical inputs and flags; pass --timing to
+include wall-clock milliseconds (which breaks byte-stability, so it is
+off by default).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import hashlib
 import json
 import sys
 import time
+import traceback
+from dataclasses import replace
 from typing import Sequence
 
 from . import boolexpr
@@ -36,6 +39,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except FairauditError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        # a failed cross-check is a bug, never a verdict: 1 would read "unfair"
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 
@@ -121,13 +129,10 @@ def _read(path: str) -> str:
 
 
 def _load(args) -> tuple[FeatureSpace, ConstraintSet, Classifier, str]:
-    text = _read(args.model)
-    obj = model._load_json(text)
-    space = model._space_from_obj(obj)
-    constraints = model._constraints_from_obj(obj, space)
-    if "classifier" not in obj:
+    space, constraints, k_obj = model.parse_document(_read(args.model))
+    if k_obj is None:
         raise DocumentError("model document has no 'classifier' section")
-    k = classifier_mod.parse_classifier(obj["classifier"], space)
+    k = classifier_mod.parse_classifier(k_obj, space)
     if args.ignore_constraints:
         constraints = ConstraintSet()
     digest = _digest(space, constraints, k)
@@ -135,14 +140,9 @@ def _load(args) -> tuple[FeatureSpace, ConstraintSet, Classifier, str]:
 
 
 def _digest(space: FeatureSpace, constraints: ConstraintSet, k: Classifier) -> str:
-    canonical = {
-        "features": [
-            {"name": f.name, "domain": list(f.domain), "protected": f.protected}
-            for f in space.features
-        ],
-        "constraints": [boolexpr.pretty(c.expr, space.names) for c in constraints],
-        "classifier": classifier_mod.classifier_to_json(k, space),
-    }
+    canonical = model.canonical_document(
+        space, constraints, classifier_mod.classifier_to_json(k, space)
+    )
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -209,15 +209,16 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
         if holds != verdict.ftu:
             raise AssertionError("FTU engines disagree")
         if pair is not None:
-            verdict = _replace_ftu_pair(verdict, pair)
+            verdict = replace(verdict, ftu_counterexample=pair)
     warnings = list(fairness.space_warnings(cs))
     witnesses: dict = {}
     if verdict.ftu_counterexample is not None:
         x, y = verdict.ftu_counterexample
+        labels = cs.labels(k)
         witnesses["ftu"] = {
             "x": _instance_json(space, x),
             "y": _instance_json(space, y),
-            "labels": [k.evaluate(x), k.evaluate(y)],
+            "labels": [labels[cs.position(x)], labels[cs.position(y)]],
         }
     if verdict.existential_failure is not None:
         d = verdict.existential_failure
@@ -285,12 +286,6 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
     for w in warnings:
         lines.append(f"warning: {w}")
     return report, lines, 0 if headline else 1
-
-
-def _replace_ftu_pair(verdict, pair):
-    from dataclasses import replace
-
-    return replace(verdict, ftu_counterexample=pair)
 
 
 def _decision_json(space, cs, dv) -> dict:
@@ -460,7 +455,7 @@ def _cmd_export_cnf(args) -> int:
 def _cmd_ftci(args) -> int:
     started = time.perf_counter()
     space, constraints, k, digest = _load(args)
-    graph = fairness.parse_causal_graph(model._load_json(_read(args.graph)))
+    graph = fairness.parse_causal_graph(model.load_json(_read(args.graph)))
     extended = fairness.extend_protected_ftci(space, graph)
     newly = sorted(
         extended.features[i].name for i in extended.protected - space.protected
@@ -481,3 +476,7 @@ def _cmd_ftci(args) -> int:
         lines.insert(1, "newly protected: " + ", ".join(newly))
     _emit(args, report, lines, started)
     return code
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -25,7 +25,7 @@ from .classifier import Classifier
 from .errors import CapacityError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
 
-DEFAULT_SUBSET_CAP = 20
+SUBSET_CAP = 20
 
 
 class ExplanationKind(Enum):
@@ -40,9 +40,6 @@ class Explanation:
     kind: ExplanationKind
     fair: bool
     coverage_size: int
-
-    def feature_set(self) -> frozenset[int]:
-        return frozenset(self.features)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ def make_decision(cs: ConstrainedSpace, k: Classifier, x: Instance) -> Decision:
             f"instance {x!r} does not satisfy the constraints; "
             "no decision is defined there"
         )
-    return Decision(k, x, k.evaluate(x))
+    return Decision(k, x, cs.labels(k)[cs.position(x)])
 
 
 def is_weak_axp(cs: ConstrainedSpace, d: Decision, features: Iterable[int]) -> bool:
@@ -90,14 +87,14 @@ def strictly_subsumes(
     return cov_b & ~cov_a == 0 and cov_a != cov_b
 
 
-def _axp_masks(
-    cs: ConstrainedSpace, d: Decision, cap: int
-) -> list[tuple[tuple[int, ...], int]]:
+def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...], int]]:
     """Subset-minimal weak AXps with their coverage masks, smallest
     first and lexicographic within a size."""
     n = cs.space.n
-    if n > cap:
-        raise CapacityError(f"{n} features exceed the subset-enumeration cap {cap}")
+    if n > SUBSET_CAP:
+        raise CapacityError(
+            f"{n} features exceed the subset-enumeration cap {SUBSET_CAP}"
+        )
     key = (d.classifier, d.instance)
     if key in cs.axp_cache:
         return cs.axp_cache[key]
@@ -141,21 +138,17 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
-def all_axps(
-    cs: ConstrainedSpace, d: Decision, cap: int = DEFAULT_SUBSET_CAP
-) -> list[Explanation]:
+def all_axps(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:
     """Every subset-minimal weak AXp, ordered by size then indices."""
     return [
         _explanation(cs, feats, ExplanationKind.AXP, cov)
-        for feats, cov in _axp_masks(cs, d, cap)
+        for feats, cov in _axp_masks(cs, d)
     ]
 
 
-def pi_explanations(
-    cs: ConstrainedSpace, d: Decision, cap: int = DEFAULT_SUBSET_CAP
-) -> list[Explanation]:
+def pi_explanations(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:
     """AXps not strictly subsumed by another AXp, in the all_axps order."""
-    axps = _axp_masks(cs, d, cap)
+    axps = _axp_masks(cs, d)
     out = []
     for feats, cov in axps:
         dominated = any(

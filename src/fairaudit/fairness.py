@@ -27,7 +27,6 @@ from .errors import DocumentError, FtuViolationError, ModelSemanticError
 from .explain import (
     Decision,
     Explanation,
-    DEFAULT_SUBSET_CAP,
     all_axps,
     make_decision,
     pi_explanations,
@@ -95,10 +94,8 @@ class CausalGraph:
         return frozenset(seen)
 
 
-def decision_verdict(
-    cs: ConstrainedSpace, d: Decision, cap: int = DEFAULT_SUBSET_CAP
-) -> DecisionVerdict:
-    pis = pi_explanations(cs, d, cap)
+def decision_verdict(cs: ConstrainedSpace, d: Decision) -> DecisionVerdict:
+    pis = pi_explanations(cs, d)
     fair_pi = next((p for p in pis if p.fair), None)
     unfair_pi = next((p for p in pis if not p.fair), None)
     if unfair_pi is None:
@@ -114,7 +111,7 @@ def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
     """No constrained instance agreeing with x off the protected set
     gets a different label."""
     cov = cs.coverage_mask(x, cs.space.unprotected)
-    same = cs.label_mask(k, k.evaluate(x))
+    same = cs.label_mask(k, cs.labels(k)[cs.position(x)])
     return cov & ~same == 0
 
 
@@ -165,10 +162,8 @@ def build_completion(
         raise ModelSemanticError(f"default label {default_label} out of range")
     unprotected = sorted(cs.space.unprotected)
     by_projection: dict[tuple, int] = {}
-    for x in cs.instances:
-        key = tuple(x[i] for i in unprotected)
-        if key not in by_projection:
-            by_projection[key] = k.evaluate(x)
+    for x, label in zip(cs.instances, cs.labels(k)):
+        by_projection.setdefault(tuple(x[i] for i in unprotected), label)
     domains = tuple(f.domain for f in cs.space.features)
     labels = tuple(
         by_projection.get(tuple(x[i] for i in unprotected), default_label)
@@ -204,9 +199,7 @@ def _loose_violation_at(cs: ConstrainedSpace, x: Instance) -> int | None:
     return None
 
 
-def decision_disentangled(
-    cs: ConstrainedSpace, k: Classifier, x: Instance, cap: int = DEFAULT_SUBSET_CAP
-) -> bool:
+def decision_disentangled(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
     """The unprotected set is a weak AXp here and no unfair weak AXp
     strictly subsumes it."""
     d = make_decision(cs, k, x)
@@ -216,7 +209,7 @@ def decision_disentangled(
         return False
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
-    for e in all_axps(cs, d, cap):
+    for e in all_axps(cs, d):
         for p in cs.space.protected:
             cov_q = cs.coverage_mask(x, e.features + (p,))
             if cov_n & ~cov_q == 0 and cov_n != cov_q:
@@ -225,10 +218,10 @@ def decision_disentangled(
 
 
 def check_disentangled(
-    cs: ConstrainedSpace, k: Classifier, cap: int = DEFAULT_SUBSET_CAP
+    cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, Decision | None]:
     for x in cs.instances:
-        if not decision_disentangled(cs, k, x, cap):
+        if not decision_disentangled(cs, k, x):
             return False, make_decision(cs, k, x)
     return True, None
 
@@ -241,24 +234,12 @@ def check_decomposable(cs: ConstrainedSpace) -> bool:
     unprotected = sorted(cs.space.unprotected)
     proj_p = {tuple(x[i] for i in protected) for x in cs.instances}
     proj_n = {tuple(x[i] for i in unprotected) for x in cs.instances}
-    if len(proj_p) * len(proj_n) != len(cs.instances):
-        return False
-    existing = set(cs.instances)
-    for v in proj_p:
-        for w in proj_n:
-            merged: list = [None] * cs.space.n
-            for i, val in zip(protected, v):
-                merged[i] = val
-            for i, val in zip(unprotected, w):
-                merged[i] = val
-            if tuple(merged) not in existing:
-                return False
-    return True
+    # x -> (x on P, x on N) is one-to-one into proj_p x proj_n, so it is
+    # onto exactly when the sizes match
+    return len(proj_p) * len(proj_n) == len(cs.instances)
 
 
-def classifier_verdict(
-    cs: ConstrainedSpace, k: Classifier, cap: int = DEFAULT_SUBSET_CAP
-) -> ClassifierVerdict:
+def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict:
     """Aggregate every per-decision verdict plus the structural checks.
 
     Failures carry the least failing instance in canonical order.
@@ -269,7 +250,7 @@ def classifier_verdict(
     for x in cs.instances:
         if not existential:  # an unfair decision also broke universality
             break
-        verdict = decision_verdict(cs, make_decision(cs, k, x), cap)
+        verdict = decision_verdict(cs, make_decision(cs, k, x))
         if verdict.status is DecisionStatus.UNFAIR:
             existential = False
             existential_failure = verdict.decision
@@ -278,7 +259,7 @@ def classifier_verdict(
             universal_failure = verdict.decision
             universal_pi = verdict.unfair_pi
     loose, loose_violation = check_loose(cs)
-    disentangled, disentangled_failure = check_disentangled(cs, k, cap)
+    disentangled, disentangled_failure = check_disentangled(cs, k)
     out = ClassifierVerdict(
         ftu=ftu,
         ftu_counterexample=ftu_pair,

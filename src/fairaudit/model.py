@@ -391,16 +391,14 @@ def coverage(cs: ConstrainedSpace, x: Instance, features: Iterable[int]) -> tupl
 # Documents
 
 
-def _load_json(text: str) -> dict:
+def load_json(text: str):
+    """Decode a JSON document; syntax errors carry their position."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
-    if not isinstance(obj, dict):
-        raise DocumentError("model document must be a JSON object")
-    return obj
 
 
 def _space_from_obj(obj: dict) -> FeatureSpace:
@@ -439,19 +437,29 @@ def _constraints_from_obj(obj: dict, space: FeatureSpace) -> ConstraintSet:
     return ConstraintSet(tuple(parsed))
 
 
+def parse_document(text: str) -> tuple[FeatureSpace, ConstraintSet, object]:
+    """Parse a model document. The classifier section, None when absent,
+    is returned undecoded for fairaudit.classifier.parse_classifier."""
+    obj = load_json(text)
+    if not isinstance(obj, dict):
+        raise DocumentError("model document must be a JSON object")
+    space = _space_from_obj(obj)
+    return space, _constraints_from_obj(obj, space), obj.get("classifier")
+
+
 def parse_model(text: str) -> tuple[FeatureSpace, ConstraintSet]:
     """Parse a model document, ignoring any classifier section."""
-    obj = _load_json(text)
-    space = _space_from_obj(obj)
-    return space, _constraints_from_obj(obj, space)
+    space, constraints, _ = parse_document(text)
+    return space, constraints
 
 
-def render_model(
+def canonical_document(
     space: FeatureSpace,
     constraints: ConstraintSet,
     classifier_obj: dict | None = None,
-) -> str:
-    """Canonical document text; parsing it back reproduces the inputs."""
+) -> dict:
+    """The document object in canonical form: every feature field
+    spelled out, constraints pretty-printed."""
     doc: dict = {
         "features": [
             {"name": f.name, "domain": list(f.domain), "protected": f.protected}
@@ -461,4 +469,14 @@ def render_model(
     }
     if classifier_obj is not None:
         doc["classifier"] = classifier_obj
+    return doc
+
+
+def render_model(
+    space: FeatureSpace,
+    constraints: ConstraintSet,
+    classifier_obj: dict | None = None,
+) -> str:
+    """Canonical document text; parsing it back reproduces the inputs."""
+    doc = canonical_document(space, constraints, classifier_obj)
     return json.dumps(doc, indent=2) + "\n"

@@ -258,8 +258,7 @@ def _encode_table_labels(
         sel = [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)]
         for a, b in itertools.combinations(sel, 2):
             builder.add(-a, -b)
-        for inst in itertools.product(*k.domains):
-            label = k.evaluate(inst)
+        for inst, label in zip(itertools.product(*k.domains), k.labels):
             lits = [-copy.value_literal(i, v) for i, v in enumerate(inst)]
             builder.add(*lits, sel[label])
         selectors[tag] = sel

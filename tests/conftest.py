@@ -7,7 +7,7 @@ import pytest
 
 from fairaudit import enumerate_space, unconstrained
 from fairaudit.classifier import parse_classifier
-from fairaudit.model import _constraints_from_obj, _load_json, _space_from_obj
+from fairaudit.model import parse_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,13 +15,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 class LoadedModel:
     def __init__(self, path: Path):
         self.path = path
-        obj = _load_json(path.read_text())
-        self.space = _space_from_obj(obj)
-        self.constraints = _constraints_from_obj(obj, self.space)
+        self.space, self.constraints, k_obj = parse_document(path.read_text())
         self.classifier = (
-            parse_classifier(obj["classifier"], self.space)
-            if "classifier" in obj
-            else None
+            None if k_obj is None else parse_classifier(k_obj, self.space)
         )
 
     def constrained(self):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fairaudit import parse_dimacs, search
+from fairaudit import fairness, parse_dimacs, search
 from fairaudit.cli import main
+from fairaudit.explain import SUBSET_CAP
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fixture(name: str) -> str:
@@ -120,6 +125,7 @@ class TestAudit:
         code, out, err = run(capsys, "audit", str(FIXTURES / "nope.json"))
         assert code == 2
         assert "error:" in err
+        assert "internal error" not in err
 
 
 class TestExplain:
@@ -160,6 +166,7 @@ class TestExplain:
         )
         assert code == 2
         assert "(implies m e)" in err
+        assert "internal error" not in err
 
     def test_axps_listed_alongside(self, capsys):
         code, report = run_json(
@@ -262,6 +269,7 @@ class TestFtci:
         code, out, err = run(capsys, "ftci", fixture("ftci_leave"), str(bad))
         assert code == 2
         assert "not a vertex" in err
+        assert "internal error" not in err
 
 
 class TestSnapshots:
@@ -294,13 +302,60 @@ class TestExitCodes:
     def test_only_documented_exit_codes(self, capsys, argv):
         cmd, name, *rest = argv
         code = main([cmd, fixture(name), *rest])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code in (0, 1, 2)
+        assert "internal error" not in err
 
     def test_capacity_error_is_exit_2(self, capsys):
         code, out, err = run(capsys, "audit", fixture("spouses"), "--cap", "2")
         assert code == 2
         assert "cap" in err
+        assert "internal error" not in err
+
+    def test_explain_over_the_subset_cap_is_exit_2(self, capsys, tmp_path):
+        n = SUBSET_CAP + 1
+        doc = tmp_path / "wide.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
+                        for i in range(n)
+                    ],
+                    "constraints": [f"(not f{i})" for i in range(9, n)],
+                    "classifier": {"form": "expression", "expr": "(or f0 f1)"},
+                }
+            )
+        )
+        instance = ",".join(["1"] * 9 + ["0"] * (n - 9))
+        code, out, err = run(capsys, "explain", str(doc), "--instance", instance)
+        assert code == 2
+        assert "cap" in err
+        assert "internal error" not in err
+
+    def test_internal_error_is_exit_2(self, capsys, monkeypatch):
+        def broken(cs, k):
+            raise AssertionError("universal fairness without existential fairness")
+
+        monkeypatch.setattr(fairness, "classifier_verdict", broken)
+        code, out, err = run(capsys, "audit", fixture("adopt"))
+        assert code == 2
+        assert out == ""
+        assert "internal error:" in err
+        assert "AssertionError" in err
+
+    def test_module_entry_point_reports_the_exit_code(self):
+        env = dict(os.environ)
+        src = str(ROOT / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairaudit.cli", "audit", fixture("adopt"),
+             "--notion", "universal"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["verdicts"]["fair"] is False
 
     _TEST = {"id": 0, "feature": "e", "value": True, "if_true": 1, "if_false": 2}
     _LEAVES = [{"id": 1, "label": 1}, {"id": 2, "label": 0}]
@@ -343,6 +398,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "audit", str(doc), "--notion", "universal")
         assert code == 2
         assert "error:" in err
+        assert "internal error" not in err
 
     def test_long_tree_chain_is_audited(self, capsys, tmp_path):
         # 1,500 chained tests on one feature: deeper than Python's

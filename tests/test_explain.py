@@ -25,7 +25,7 @@ from fairaudit import (
     subsumes,
     unconstrained,
 )
-from fairaudit.explain import ExplanationKind
+from fairaudit.explain import SUBSET_CAP, ExplanationKind
 from fairaudit.randmodels import random_model
 
 
@@ -166,12 +166,22 @@ class TestAllAxps:
         got = [e.features for e in all_axps(cs, d)]
         assert got == sorted(got, key=lambda t: (len(t), t))
 
-    def test_capacity_cap_is_enforced(self, load_model):
-        loaded = load_model("work_from_home")
-        cs = loaded.constrained()
-        d = make_decision(cs, loaded.classifier, (True, True, True, True))
-        with pytest.raises(CapacityError):
-            all_axps(cs, d, cap=3)
+    def test_capacity_cap_is_enforced(self):
+        # one feature over the cap; pinning all but nine keeps F[C] small
+        n = SUBSET_CAP + 1
+        space = FeatureSpace(
+            [Feature(i, f"f{i}", (False, True), i % 4 == 0) for i in range(n)]
+        )
+        constraints = ConstraintSet(
+            tuple(Constraint(parse_expr(f"(not f{i})", space)) for i in range(9, n))
+        )
+        cs = enumerate_space(space, constraints)
+        assert len(cs) == 512
+        k = ExpressionClassifier(parse_expr("(or f0 f1)", space))
+        d = make_decision(cs, k, cs.instances[-1])
+        for enumerate_reasons in (all_axps, pi_explanations):
+            with pytest.raises(CapacityError):
+                enumerate_reasons(cs, d)
 
     def test_decision_requires_constrained_instance(self, load_model):
         loaded = load_model("training_course")

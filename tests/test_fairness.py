@@ -12,6 +12,7 @@ from fairaudit import (
     Feature,
     FeatureSpace,
     FtuViolationError,
+    ModelSemanticError,
     build_completion,
     check_decomposable,
     check_disentangled,
@@ -103,6 +104,12 @@ class TestFtu:
         full = loaded.full()
         assert not ftu_at(full, loaded.classifier, (False, False, True))
         assert ftu_at(full, loaded.classifier, (False, False, False))
+
+    def test_ftu_at_requires_constrained_instance(self, load_model):
+        loaded = load_model("bonus_goals")
+        with pytest.raises(ModelSemanticError):
+            # m = f = 1 violates (iff m (not f))
+            ftu_at(loaded.constrained(), loaded.classifier, (True, True, False))
 
 
 class TestClassifierVerdict:
@@ -287,6 +294,26 @@ class TestDisentangled:
         assert checked >= 20
 
 
+def brute_force_decomposable(cs) -> bool:
+    """Every merge of a protected projection with an unprotected one is a
+    constrained instance."""
+    protected = sorted(cs.space.protected)
+    unprotected = sorted(cs.space.unprotected)
+    proj_p = {tuple(x[i] for i in protected) for x in cs.instances}
+    proj_n = {tuple(x[i] for i in unprotected) for x in cs.instances}
+    existing = set(cs.instances)
+    for v in proj_p:
+        for w in proj_n:
+            merged: list = [None] * cs.space.n
+            for i, val in zip(protected, v):
+                merged[i] = val
+            for i, val in zip(unprotected, w):
+                merged[i] = val
+            if tuple(merged) not in existing:
+                return False
+    return True
+
+
 class TestDecomposable:
     def test_pregnancy_bonus_projection_product(self, load_model):
         loaded = load_model("pregnancy_bonus")
@@ -312,6 +339,16 @@ class TestDecomposable:
         constraints = ConstraintSet((Constraint(expr),))
         assert constraint_scope_profile(space, constraints) is ScopeProfile.CROSSING
         assert check_decomposable(enumerate_space(space, constraints))
+
+    def test_matches_brute_force_on_random_models(self):
+        rng = random.Random(23)
+        outcomes = []
+        for _ in range(200):
+            rm = random_model(rng, max_features=5, max_domain=4)
+            for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
+                outcomes.append(check_decomposable(cs))
+                assert outcomes[-1] == brute_force_decomposable(cs)
+        assert outcomes.count(False) >= 10
 
 
 class TestFtci:
