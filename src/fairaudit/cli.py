@@ -63,12 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="audit as if the constraint list were empty",
         )
         p.add_argument("--timing", action="store_true", help="include timing_ms")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=model.DEFAULT_ENUMERATION_CAP,
-            help="enumeration cap on the full space size",
-        )
 
     def audit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -196,7 +190,7 @@ def _emit(args, report: dict, text_lines: list[str], started: float) -> None:
 def _cmd_audit(args) -> int:
     started = time.perf_counter()
     space, constraints, k, digest = _load(args)
-    cs = model.enumerate_space(space, constraints, args.cap)
+    cs = model.enumerate_space(space, constraints)
     report, lines, code = _audit_body(args, space, cs, k, digest)
     _emit(args, report, lines, started)
     return code
@@ -267,8 +261,8 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
     report["witnesses"] = witnesses
     if args.per_decision:
         report["per_decision"] = [
-            _decision_json(space, cs, fairness.decision_verdict(cs, explain.make_decision(cs, k, x)))
-            for x in cs.instances
+            _decision_json(space, dv)
+            for dv in fairness.decision_verdicts(cs, k, verdict)
         ]
     report["warnings"] = warnings
     lines = [
@@ -288,7 +282,7 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
     return report, lines, 0 if headline else 1
 
 
-def _decision_json(space, cs, dv) -> dict:
+def _decision_json(space, dv) -> dict:
     x = dv.decision.instance
     return {
         "instance": _instance_json(space, x),
@@ -337,7 +331,7 @@ def _parse_instance(space: FeatureSpace, text: str) -> Instance:
 def _cmd_explain(args) -> int:
     started = time.perf_counter()
     space, constraints, k, digest = _load(args)
-    cs = model.enumerate_space(space, constraints, args.cap)
+    cs = model.enumerate_space(space, constraints)
     x = _parse_instance(space, args.instance)
     violated = cs.constraints.first_violated(x)
     if violated is not None:
@@ -345,15 +339,12 @@ def _cmd_explain(args) -> int:
             "instance violates constraint "
             f"{boolexpr.pretty(violated.expr, space.names)!r}"
         )
-    d = explain.make_decision(cs, k, x)
-    axps = explain.all_axps(cs, d)
-    pis = explain.pi_explanations(cs, d)
-    dv = fairness.decision_verdict(cs, d)
+    dv = fairness.decision_verdict(cs, explain.make_decision(cs, k, x))
     report = _base_report(space, cs, digest)
     report["instance"] = _instance_json(space, x)
-    report["label"] = d.label
-    report["axps"] = [_explanation_json(space, e, x) for e in axps]
-    report["pi_explanations"] = [_explanation_json(space, e, x) for e in pis]
+    report["label"] = dv.decision.label
+    report["axps"] = [_explanation_json(space, e, x) for e in dv.axps]
+    report["pi_explanations"] = [_explanation_json(space, e, x) for e in dv.pis]
     report["verdict"] = {
         "status": dv.status.value,
         "fair_pi": _explanation_json(space, dv.fair_pi, x) if dv.fair_pi else None,
@@ -361,9 +352,9 @@ def _cmd_explain(args) -> int:
     }
     report["warnings"] = list(fairness.space_warnings(cs))
     lines = [
-        f"decision: {_instance_json(space, x)} -> {d.label}",
-        "axps: " + _render_sets(space, axps),
-        "pi explanations: " + _render_sets(space, pis),
+        f"decision: {_instance_json(space, x)} -> {dv.decision.label}",
+        "axps: " + _render_sets(space, dv.axps),
+        "pi explanations: " + _render_sets(space, dv.pis),
         f"status: {dv.status.value}",
     ]
     _emit(args, report, lines, started)
@@ -388,7 +379,7 @@ def _render_sets(space, explanations) -> str:
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     space, constraints, k, digest = _load(args)
-    cs = model.enumerate_space(space, constraints, args.cap)
+    cs = model.enumerate_space(space, constraints)
     report = _base_report(space, cs, digest)
     report["check"] = args.what
     witnesses: dict = {}
@@ -436,7 +427,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_export_cnf(args) -> int:
     space, constraints, k, digest = _load(args)
-    cs = model.enumerate_space(space, constraints, args.cap)
+    cs = model.enumerate_space(space, constraints)
     formula = satcheck.encode_ftu_counterexample(cs, k)
     text = satcheck.export_dimacs(formula)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -460,7 +451,7 @@ def _cmd_ftci(args) -> int:
     newly = sorted(
         extended.features[i].name for i in extended.protected - space.protected
     )
-    cs = model.enumerate_space(extended, constraints, args.cap)
+    cs = model.enumerate_space(extended, constraints)
     extra = None
     if newly:
         extra = {

@@ -95,9 +95,6 @@ def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...],
         raise CapacityError(
             f"{n} features exceed the subset-enumeration cap {SUBSET_CAP}"
         )
-    key = (d.classifier, d.instance)
-    if key in cs.axp_cache:
-        return cs.axp_cache[key]
     # difference sets of the other-label instances, feature i at bit i * w
     w, codes = cs.packed_codes()
     singles = [1 << (i * w) for i in range(n)]
@@ -126,9 +123,7 @@ def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...],
         (tuple(i for i, e in enumerate(singles) if t & e) for t in hitting),
         key=lambda feats: (len(feats), feats),
     )
-    found = [(feats, cs.coverage_mask(d.instance, feats)) for feats in axps]
-    cs.axp_cache[key] = found
-    return found
+    return [(feats, cs.coverage_mask(d.instance, feats)) for feats in axps]
 
 
 def _explanation(
@@ -138,25 +133,30 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
+def reasons(
+    cs: ConstrainedSpace, d: Decision
+) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
+    """The decision's AXps, ordered by size then indices, and the AXps
+    not strictly subsumed by another AXp, in the same order; both from
+    one search."""
+    found = _axp_masks(cs, d)
+    axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
+    pis = tuple(
+        _explanation(cs, f, ExplanationKind.PI, cov)
+        for f, cov in found
+        if not any(cov & ~other == 0 and cov != other for _, other in found)
+    )
+    return axps, pis
+
+
 def all_axps(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:
     """Every subset-minimal weak AXp, ordered by size then indices."""
-    return [
-        _explanation(cs, feats, ExplanationKind.AXP, cov)
-        for feats, cov in _axp_masks(cs, d)
-    ]
+    return list(reasons(cs, d)[0])
 
 
 def pi_explanations(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:
     """AXps not strictly subsumed by another AXp, in the all_axps order."""
-    axps = _axp_masks(cs, d)
-    out = []
-    for feats, cov in axps:
-        dominated = any(
-            cov & ~other == 0 and cov != other for _, other in axps
-        )
-        if not dominated:
-            out.append(_explanation(cs, feats, ExplanationKind.PI, cov))
-    return out
+    return list(reasons(cs, d)[1])
 
 
 def one_axp(

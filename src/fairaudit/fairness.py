@@ -24,13 +24,7 @@ from typing import Iterable
 from . import satcheck
 from .classifier import Classifier, TableClassifier
 from .errors import DocumentError, FtuViolationError, ModelSemanticError
-from .explain import (
-    Decision,
-    Explanation,
-    all_axps,
-    make_decision,
-    pi_explanations,
-)
+from .explain import Decision, Explanation, all_axps, make_decision, reasons
 from .model import (
     ConstrainedSpace,
     FeatureSpace,
@@ -52,6 +46,8 @@ class DecisionVerdict:
     status: DecisionStatus
     fair_pi: Explanation | None
     unfair_pi: Explanation | None
+    axps: tuple[Explanation, ...]
+    pis: tuple[Explanation, ...]
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,7 @@ class ClassifierVerdict:
     disentangled: bool
     disentangled_failure: Decision | None
     scope_profile: ScopeProfile
+    decisions: tuple[DecisionVerdict, ...]  # examined in order, F[C]'s prefix
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,8 @@ class CausalGraph:
 
 
 def decision_verdict(cs: ConstrainedSpace, d: Decision) -> DecisionVerdict:
-    pis = pi_explanations(cs, d)
+    """Everything known about one decision, from one AXp search."""
+    axps, pis = reasons(cs, d)
     fair_pi = next((p for p in pis if p.fair), None)
     unfair_pi = next((p for p in pis if not p.fair), None)
     if unfair_pi is None:
@@ -104,7 +102,18 @@ def decision_verdict(cs: ConstrainedSpace, d: Decision) -> DecisionVerdict:
         status = DecisionStatus.UNFAIR
     else:
         status = DecisionStatus.EXISTENTIALLY_FAIR_ONLY
-    return DecisionVerdict(d, status, fair_pi, unfair_pi)
+    return DecisionVerdict(d, status, fair_pi, unfair_pi, axps, pis)
+
+
+def decision_verdicts(
+    cs: ConstrainedSpace, k: Classifier, walked: ClassifierVerdict
+) -> tuple[DecisionVerdict, ...]:
+    """Every decision's verdict in canonical order: those classifier_verdict
+    examined, then the ones past its early exit."""
+    rest = cs.instances[len(walked.decisions):]
+    return walked.decisions + tuple(
+        decision_verdict(cs, make_decision(cs, k, x)) for x in rest
+    )
 
 
 def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -203,13 +212,17 @@ def decision_disentangled(cs: ConstrainedSpace, k: Classifier, x: Instance) -> b
     """The unprotected set is a weak AXp here and no unfair weak AXp
     strictly subsumes it."""
     d = make_decision(cs, k, x)
-    good = cs.label_mask(k, d.label)
+    return _disentangled(cs, d, all_axps(cs, d))
+
+
+def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]) -> bool:
+    x = d.instance
     cov_n = cs.coverage_mask(x, cs.space.unprotected)
-    if cov_n & ~good != 0:
+    if cov_n & ~cs.label_mask(d.classifier, d.label) != 0:
         return False
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
-    for e in all_axps(cs, d):
+    for e in axps:
         for p in cs.space.protected:
             cov_q = cs.coverage_mask(x, e.features + (p,))
             if cov_n & ~cov_q == 0 and cov_n != cov_q:
@@ -240,39 +253,39 @@ def check_decomposable(cs: ConstrainedSpace) -> bool:
 
 
 def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict:
-    """Aggregate every per-decision verdict plus the structural checks.
+    """Aggregate the per-decision verdicts plus the structural checks.
 
-    Failures carry the least failing instance in canonical order.
+    Failures carry the least failing instance in canonical order. The
+    walk stops at the first unfair decision, which is not disentangled
+    either: a fair AXp inside the unprotected set is subsumed, at the
+    end of a chain of PIs, by an unfair one covering strictly more.
     """
     ftu, ftu_pair = check_ftu(cs, k, "exhaustive")
-    existential, existential_failure = True, None
-    universal, universal_failure, universal_pi = True, None, None
+    decisions: list[DecisionVerdict] = []
     for x in cs.instances:
-        if not existential:  # an unfair decision also broke universality
+        decisions.append(decision_verdict(cs, make_decision(cs, k, x)))
+        if decisions[-1].status is DecisionStatus.UNFAIR:
             break
-        verdict = decision_verdict(cs, make_decision(cs, k, x))
-        if verdict.status is DecisionStatus.UNFAIR:
-            existential = False
-            existential_failure = verdict.decision
-        if universal and verdict.unfair_pi is not None:
-            universal = False
-            universal_failure = verdict.decision
-            universal_pi = verdict.unfair_pi
+    unfair = next((v for v in decisions if v.status is DecisionStatus.UNFAIR), None)
+    partly = next((v for v in decisions if v.unfair_pi is not None), None)
+    tangled = next(
+        (v for v in decisions if not _disentangled(cs, v.decision, v.axps)), None
+    )
     loose, loose_violation = check_loose(cs)
-    disentangled, disentangled_failure = check_disentangled(cs, k)
     out = ClassifierVerdict(
         ftu=ftu,
         ftu_counterexample=ftu_pair,
-        existential=existential,
-        existential_failure=existential_failure,
-        universal=universal,
-        universal_failure=universal_failure,
-        universal_unfair_pi=universal_pi,
+        existential=unfair is None,
+        existential_failure=unfair.decision if unfair else None,
+        universal=partly is None,
+        universal_failure=partly.decision if partly else None,
+        universal_unfair_pi=partly.unfair_pi if partly else None,
         loose=loose,
         loose_violation=loose_violation,
-        disentangled=disentangled,
-        disentangled_failure=disentangled_failure,
+        disentangled=tangled is None,
+        disentangled_failure=tangled.decision if tangled else None,
         scope_profile=constraint_scope_profile(cs.space, cs.constraints),
+        decisions=tuple(decisions),
     )
     _assert_verdict_chain(out)
     return out

@@ -27,7 +27,7 @@ from .errors import CapacityError, DocumentError, ModelSemanticError
 
 Instance = tuple  # tuple[Value, ...], one entry per feature
 
-DEFAULT_ENUMERATION_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 24
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -244,7 +244,6 @@ class ConstrainedSpace:
         self._label_cache: dict[object, tuple[int, ...]] = {}
         self._label_masks: dict[tuple, int] = {}
         self._codes: tuple[int, list[int]] | None = None
-        self.axp_cache: dict[tuple, list] = {}
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -359,15 +358,13 @@ def rank_masks(domains: Sequence[Sequence[Value]]) -> list[dict[Value, int]]:
     return masks
 
 
-def enumerate_space(
-    space: FeatureSpace,
-    constraints: ConstraintSet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ConstrainedSpace:
+def enumerate_space(space: FeatureSpace, constraints: ConstraintSet) -> ConstrainedSpace:
     """Materialize the constrained instance set in canonical order."""
     size = space.full_size()
-    if size > cap:
-        raise CapacityError(f"feature space has {size} instances, cap is {cap}")
+    if size > ENUMERATION_CAP:
+        raise CapacityError(
+            f"feature space has {size} instances, cap is {ENUMERATION_CAP}"
+        )
     masks = rank_masks([f.domain for f in space.features])
     ones = (1 << size) - 1
     satisfied = ones
@@ -376,8 +373,8 @@ def enumerate_space(
     return ConstrainedSpace(space, constraints, masks, bit_flags(satisfied, size))
 
 
-def unconstrained(space: FeatureSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> ConstrainedSpace:
-    return enumerate_space(space, ConstraintSet(), cap)
+def unconstrained(space: FeatureSpace) -> ConstrainedSpace:
+    return enumerate_space(space, ConstraintSet())
 
 
 def coverage(cs: ConstrainedSpace, x: Instance, features: Iterable[int]) -> tuple[Instance, ...]:

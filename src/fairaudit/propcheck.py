@@ -22,14 +22,14 @@ from __future__ import annotations
 import random
 
 from .errors import FtuViolationError
-from .explain import all_axps, make_decision, one_axp, pi_explanations
+from .explain import all_axps, make_decision, one_axp, pi_explanations, reasons
 from .fairness import (
     build_completion,
-    check_disentangled,
     check_ftu,
     check_loose,
     check_loose_at,
     classifier_verdict,
+    decision_verdicts,
     ftu_at,
 )
 from .model import (
@@ -65,7 +65,10 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
         out.append("existential fairness without constrained FTU")
 
     # one sweep per space; every per-decision check reads these
-    flags_cs = {x: _pi_fairness(cs, k, x) for x in cs.instances}
+    flags_cs = {
+        dv.decision.instance: (dv.fair_pi is not None, dv.unfair_pi is not None)
+        for dv in decision_verdicts(cs, k, verdict)
+    }
     flags_full = {x: _pi_fairness(full, k, x) for x in cs.instances}
 
     out += _check_completion(cs, full, k, verdict.ftu)
@@ -133,8 +136,7 @@ def _check_loose_links(cs, k, verdict, flags_cs) -> list[str]:
     for x in cs.instances:
         if check_loose_at(cs, x) and ftu_at(cs, k, x) and not flags_cs[x][0]:
             out.append(f"loose and FTU at {x} but no fair reason there")
-    disentangled, _ = check_disentangled(cs, k)
-    if disentangled and not verdict.existential:
+    if verdict.disentangled and not verdict.existential:
         out.append("disentangled classifier without existential fairness")
     return out
 
@@ -173,10 +175,8 @@ def _check_unconstrained_pi(full, k, rng: random.Random) -> list[str]:
             instances[rng.randrange(len(instances))] for _ in range(16)
         )
     for x in instances:
-        d = make_decision(full, k, x)
-        axps = {frozenset(e.features) for e in all_axps(full, d)}
-        pis = {frozenset(e.features) for e in pi_explanations(full, d)}
-        if axps != pis:
+        axps, pis = reasons(full, make_decision(full, k, x))
+        if {e.features for e in axps} != {e.features for e in pis}:
             return [
                 f"without constraints the prime reasons at {x} differ "
                 "from the minimal reasons"

@@ -26,7 +26,7 @@ from .classifier import (
 from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
 
-DEFAULT_TABLE_LIMIT = 4096
+TABLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -180,19 +180,20 @@ def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
         return [Not(k.expr), k.expr]
     if isinstance(k, TreeClassifier):
         paths: dict[int, list[BoolExpr]] = {c: [] for c in range(k.class_count)}
-
-        def walk(node_id: int, conds: tuple[BoolExpr, ...]):
+        # depth first, true branch first, with an explicit stack: a chain
+        # of tests can be deeper than the recursion limit
+        stack: list[tuple[int, tuple[BoolExpr, ...]]] = [(k.root, ())]
+        while stack:
+            node_id, conds = stack.pop()
             node = k._by_id[node_id]
             if isinstance(node, TreeLeaf):
                 paths[node.label].append(
                     And(conds) if len(conds) > 1 else (conds[0] if conds else Const(True))
                 )
-                return
+                continue
             test = Eq(node.feature, node.value)
-            walk(node.if_true, conds + (test,))
-            walk(node.if_false, conds + (Not(test),))
-
-        walk(k.root, ())
+            stack.append((node.if_false, conds + (Not(test),)))
+            stack.append((node.if_true, conds + (test,)))
         out = []
         for c in range(k.class_count):
             if not paths[c]:
@@ -205,9 +206,7 @@ def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
     raise TypeError(f"no class formulas for {type(k).__name__}")
 
 
-def encode_ftu_counterexample(
-    cs: ConstrainedSpace, k: Classifier, table_limit: int = DEFAULT_TABLE_LIMIT
-) -> CnfFormula:
+def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula:
     """CNF satisfiable iff constrained FTU fails for the classifier."""
     builder = _Builder()
     copy_x = _Copy(builder, cs, "x")
@@ -227,7 +226,7 @@ def encode_ftu_counterexample(
                 builder.add(-a, b)
                 builder.add(a, -b)
     if isinstance(k, TableClassifier):
-        _encode_table_labels(builder, cs, k, copy_x, copy_y, table_limit)
+        _encode_table_labels(builder, k, copy_x, copy_y)
     else:
         formulas = [boolexpr.simplify(f) for f in _class_formulas(k, cs.space)]
         for formula in formulas:
@@ -240,18 +239,13 @@ def encode_ftu_counterexample(
 
 
 def _encode_table_labels(
-    builder: _Builder,
-    cs: ConstrainedSpace,
-    k: TableClassifier,
-    copy_x: _Copy,
-    copy_y: _Copy,
-    table_limit: int,
+    builder: _Builder, k: TableClassifier, copy_x: _Copy, copy_y: _Copy
 ) -> None:
     size = len(k.labels)
-    if size > table_limit:
+    if size > TABLE_LIMIT:
         raise CapacityError(
             f"table classifier with {size} rows exceeds the clause-expansion "
-            f"limit {table_limit}"
+            f"limit {TABLE_LIMIT}"
         )
     selectors = {}
     for tag, copy in (("x", copy_x), ("y", copy_y)):

@@ -47,5 +47,27 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+@pytest.fixture(scope="session")
+def chain_tree_document() -> str:
+    """1,500 chained tests on one feature: deeper than Python's
+    recursion limit, so every walk over the tree needs a stack."""
+    depth = 1500
+    chain = [
+        {"id": i, "feature": "n", "value": i, "if_true": depth + i, "if_false": i + 1}
+        for i in range(depth)
+    ]
+    leaves = [{"id": depth + i, "label": int(i == 700)} for i in range(depth + 1)]
+    return json.dumps(
+        {
+            "features": [
+                {"name": "n", "domain": list(range(depth + 1))},
+                {"name": "m", "domain": [False, True], "protected": True},
+            ],
+            "constraints": [],
+            "classifier": {"form": "tree", "nodes": chain + leaves},
+        }
+    )
+
+
 def read_graph(name: str) -> dict:
     return json.loads((FIXTURES / "graphs" / f"{name}.json").read_text())

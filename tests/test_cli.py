@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fairaudit import fairness, parse_dimacs, search
+from fairaudit import explain, fairness, make_decision, parse_dimacs, search
 from fairaudit.cli import main
 from fairaudit.explain import SUBSET_CAP
 
@@ -80,7 +80,7 @@ class TestAudit:
             assert a == b
             assert ra["verdicts"] == rb["verdicts"]
 
-    def test_per_decision_listing(self, capsys):
+    def test_per_decision_listing(self, capsys, load_model, fixtures_dir):
         code, report = run_json(
             capsys, "audit", fixture("mirrored_features"), "--per-decision"
         )
@@ -88,6 +88,42 @@ class TestAudit:
         statuses = {d["status"] for d in report["per_decision"]}
         assert statuses == {"EXISTENTIALLY_FAIR_ONLY"}
         assert len(report["per_decision"]) == 2
+        # every fixture's listing is each decision's own verdict, also where
+        # the verdict walk stopped at an unfair decision
+        early_exits = 0
+        for path in sorted(fixtures_dir.glob("*.json")):
+            loaded = load_model(path.stem)
+            cs, k = loaded.constrained(), loaded.classifier
+            names = loaded.space.names
+
+            def pi(e, x):
+                if e is None:
+                    return None
+                return {
+                    "features": [names[i] for i in e.features],
+                    "assignment": {names[i]: x[i] for i in e.features},
+                    "fair": e.fair,
+                    "coverage": e.coverage_size,
+                }
+
+            expected = []
+            for x in cs.instances:
+                dv = fairness.decision_verdict(cs, make_decision(cs, k, x))
+                expected.append(
+                    {
+                        "instance": dict(zip(names, x)),
+                        "label": dv.decision.label,
+                        "status": dv.status.value,
+                        "fair_pi": pi(dv.fair_pi, x),
+                        "unfair_pi": pi(dv.unfair_pi, x),
+                    }
+                )
+            _, report = run_json(
+                capsys, "audit", str(path), "--notion", "universal", "--per-decision"
+            )
+            assert report["per_decision"] == expected, path.name
+            early_exits += len(fairness.classifier_verdict(cs, k).decisions) < len(cs)
+        assert early_exits >= 5
 
     def test_reports_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "audit", fixture("work_from_home"))
@@ -126,6 +162,40 @@ class TestAudit:
         assert code == 2
         assert "error:" in err
         assert "internal error" not in err
+
+
+class TestOneAxpSearchPerDecision:
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """Instances at which an AXp search ran, in order."""
+        seen = []
+        search_axps = explain._axp_masks
+
+        def counted(cs, d):
+            seen.append(d.instance)
+            return search_axps(cs, d)
+
+        monkeypatch.setattr(explain, "_axp_masks", counted)
+        return seen
+
+    @pytest.mark.parametrize("name", ["adopt2", "bonus_goals", "training_course"])
+    def test_audit_of_a_fair_model(self, capsys, load_model, searched, name):
+        code, _ = run_json(capsys, "audit", fixture(name), "--notion", "universal")
+        assert code == 0
+        assert searched == list(load_model(name).constrained().instances)
+
+    def test_explain(self, capsys, searched):
+        _, report = run_json(capsys, "explain", fixture("spouses"), "--instance", "1,1")
+        assert report["axps"] and report["pi_explanations"]
+        assert searched == [(True, True)]
+
+    @pytest.mark.parametrize(
+        "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
+    )
+    def test_audit_per_decision(self, capsys, load_model, searched, name):
+        # fair, universally unfair, and unfair with an early exit
+        run_json(capsys, "audit", fixture(name), "--per-decision")
+        assert searched == list(load_model(name).constrained().instances)
 
 
 class TestExplain:
@@ -306,8 +376,22 @@ class TestExitCodes:
         assert code in (0, 1, 2)
         assert "internal error" not in err
 
-    def test_capacity_error_is_exit_2(self, capsys):
-        code, out, err = run(capsys, "audit", fixture("spouses"), "--cap", "2")
+    def test_capacity_error_is_exit_2(self, capsys, tmp_path):
+        # 25 boolean features: |F| = 2^25 is above the enumeration cap
+        doc = tmp_path / "huge.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
+                        for i in range(25)
+                    ],
+                    "constraints": [],
+                    "classifier": {"form": "expression", "expr": "(or f0 f1)"},
+                }
+            )
+        )
+        code, out, err = run(capsys, "audit", str(doc))
         assert code == 2
         assert "cap" in err
         assert "internal error" not in err
@@ -400,30 +484,11 @@ class TestExitCodes:
         assert "error:" in err
         assert "internal error" not in err
 
-    def test_long_tree_chain_is_audited(self, capsys, tmp_path):
-        # 1,500 chained tests on one feature: deeper than Python's
-        # recursion limit, so the tree must be walked with a stack
-        depth = 1500
-        chain = [
-            {"id": i, "feature": "n", "value": i, "if_true": depth + i, "if_false": i + 1}
-            for i in range(depth)
-        ]
-        leaves = [{"id": depth + i, "label": int(i == 700)} for i in range(depth + 1)]
+    def test_long_tree_chain_is_audited(self, capsys, tmp_path, chain_tree_document):
         doc = tmp_path / "chain.json"
-        doc.write_text(
-            json.dumps(
-                {
-                    "features": [
-                        {"name": "n", "domain": list(range(depth + 1))},
-                        {"name": "m", "domain": [False, True], "protected": True},
-                    ],
-                    "constraints": [],
-                    "classifier": {"form": "tree", "nodes": chain + leaves},
-                }
-            )
-        )
+        doc.write_text(chain_tree_document)
         code, out, err = run(capsys, "audit", str(doc))
         assert code in (0, 1)
         assert "Traceback" not in err
         report = json.loads(out)
-        assert report["space"]["size_constrained"] == 2 * (depth + 1)
+        assert report["space"]["size_constrained"] == 2 * 1501

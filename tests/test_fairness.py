@@ -146,6 +146,45 @@ class TestClassifierVerdict:
             assert v.fair_pi.features == (g,)
 
 
+def two_walk_reference(cs, k):
+    """The classifier-level failures from every decision's own verdict
+    plus a separate check_disentangled walk."""
+    verdicts = [decision_verdict(cs, make_decision(cs, k, x)) for x in cs.instances]
+    unfair = [v for v in verdicts if v.status is DecisionStatus.UNFAIR]
+    partly = [v for v in verdicts if v.unfair_pi is not None]
+    disentangled, disentangled_failure = check_disentangled(cs, k)
+    return verdicts, {
+        "existential": not unfair,
+        "existential_failure": unfair[0].decision if unfair else None,
+        "universal": not partly,
+        "universal_failure": partly[0].decision if partly else None,
+        "universal_unfair_pi": partly[0].unfair_pi if partly else None,
+        "disentangled": disentangled,
+        "disentangled_failure": disentangled_failure,
+    }
+
+
+class TestOneWalk:
+    def test_matches_the_two_walk_reference_on_random_models(self):
+        rng = random.Random(606)
+        early_exits = violated = 0
+        for _ in range(200):
+            rm = random_model(rng, max_features=6)
+            for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
+                v = classifier_verdict(cs, rm.classifier)
+                verdicts, expected = two_walk_reference(cs, rm.classifier)
+                assert {name: getattr(v, name) for name in expected} == expected
+                # the walk examines F[C] in order, up to the first unfair decision
+                assert v.decisions == tuple(verdicts[: len(v.decisions)])
+                if v.existential:
+                    assert len(v.decisions) == len(cs)
+                else:
+                    assert v.decisions[-1].status is DecisionStatus.UNFAIR
+                    early_exits += len(v.decisions) < len(cs)
+                violated += not (v.existential and v.universal and v.disentangled)
+        assert early_exits >= 100 and violated >= 150
+
+
 class TestCompletion:
     def test_xor_link_completion_copies_the_linked_value(self, load_model):
         loaded = load_model("xor_link")

@@ -21,7 +21,7 @@ from fairaudit import (
     render_model,
     unconstrained,
 )
-from fairaudit.model import PartialAssignment
+from fairaudit.model import ENUMERATION_CAP, PartialAssignment
 
 
 def doc(features, constraints=()):
@@ -140,11 +140,13 @@ class TestEnumerate:
         assert len(pairs) == 4
 
     def test_capacity_error_above_cap(self):
-        space, constraints = parse_model(
-            doc([bool_feature("a"), bool_feature("b"), bool_feature("c")])
-        )
-        with pytest.raises(CapacityError):
-            enumerate_space(space, constraints, cap=4)
+        # |F| = 2^25 is above ENUMERATION_CAP; refused before any mask
+        space, constraints = parse_model(doc([bool_feature(f"f{i}") for i in range(25)]))
+        assert space.full_size() > ENUMERATION_CAP
+        with pytest.raises(CapacityError, match="cap"):
+            enumerate_space(space, constraints)
+        with pytest.raises(CapacityError, match="cap"):
+            unconstrained(space)
 
     @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5))
     def test_unconstrained_count_is_domain_product(self, sizes):

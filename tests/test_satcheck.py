@@ -18,9 +18,11 @@ from fairaudit import (
     search,
     unconstrained,
 )
-from fairaudit.classifier import expression_to_tree, to_table
-from fairaudit.model import Feature, FeatureSpace
+from fairaudit.boolexpr import evaluate_mask
+from fairaudit.classifier import expression_to_tree, parse_classifier, to_table
+from fairaudit.model import Feature, FeatureSpace, parse_document, rank_masks
 from fairaudit.randmodels import dnf_to_expr, eval_dnf, random_dnf, random_model
+from fairaudit.satcheck import TABLE_LIMIT, _class_formulas
 
 B = (False, True)
 
@@ -133,13 +135,33 @@ class TestEncoding:
             formula = encode_ftu_counterexample(cs, variant)
             assert search(formula).satisfiable == (not check_ftu(cs, base)[0])
 
-    def test_table_expansion_respects_the_limit(self, load_model):
+    def test_class_formulas_of_a_chain_deeper_than_the_recursion_limit(
+        self, chain_tree_document
+    ):
+        space, _, k_obj = parse_document(chain_tree_document)
+        k = parse_classifier(k_obj, space)
+        formulas = _class_formulas(k, space)
+        # each formula over all 3,002 ranks at once, then spot checks
+        domains = [f.domain for f in space.features]
+        ones = (1 << space.full_size()) - 1
+        got = [evaluate_mask(f, rank_masks(domains), ones) for f in formulas]
+        assert got[0] ^ got[1] == ones
+        instances = list(itertools.product(*domains))
+        rng = random.Random(3)
+        edges = [2 * n + m for n in (0, 1, 699, 700, 701, 1499, 1500) for m in (0, 1)]
+        for r in edges + rng.sample(range(len(instances)), 100):
+            label = k.evaluate(instances[r])
+            assert [g >> r & 1 for g in got] == [c == label for c in range(2)]
+
+    def test_table_expansion_respects_the_limit(self):
         from fairaudit import CapacityError
 
-        loaded = load_model("sick_leave")
-        table = to_table(loaded.classifier, loaded.space)
+        # 13 boolean features: 8,192 rows, above TABLE_LIMIT
+        space = FeatureSpace([Feature(i, f"f{i}", B, i == 0) for i in range(13)])
+        table = to_table(ExpressionClassifier(parse_expr("(or f0 f1)", space)), space)
+        assert len(table.labels) > TABLE_LIMIT
         with pytest.raises(CapacityError, match="clause-expansion"):
-            encode_ftu_counterexample(loaded.constrained(), table, table_limit=4)
+            encode_ftu_counterexample(unconstrained(space), table)
 
     def test_decode_rejects_out_of_space_assignments(self, load_model):
         loaded = load_model("xor_link")
