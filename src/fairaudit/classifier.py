@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import partial, reduce
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value
@@ -20,7 +20,8 @@ from .errors import DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, FeatureSpace, Instance, bit_flags, rank_masks
 
 # each form's rank_labels(masks, size) gives its labels over the full
-# space in rank order, from model.rank_masks of the space's domains
+# space in rank order, from model.rank_masks of the space's domains, as a
+# sequence that can be read more than once
 RankMasks = Sequence[Mapping[Value, int]]
 
 
@@ -166,7 +167,7 @@ class TreeClassifier:
             node = self._by_id[branch]
         return node.label
 
-    def rank_labels(self, masks: RankMasks, size: int) -> Iterable[int]:
+    def rank_labels(self, masks: RankMasks, size: int) -> Sequence[int]:
         """Each label's ranks are the OR of the masks of the root-to-leaf
         paths ending in that label; a path's mask ANDs its tests."""
         by_label: dict[int, int] = {}
@@ -183,7 +184,7 @@ class TreeClassifier:
                     stack.append((child, sub))
         # the label masks are disjoint: sum label * flag over the labels
         rows = [map(lab.__mul__, bit_flags(m, size)) for lab, m in by_label.items() if lab]
-        return reduce(partial(map, add), rows) if rows else bytes(size)
+        return tuple(reduce(partial(map, add), rows)) if rows else bytes(size)
 
 
 Classifier = Union[ExpressionClassifier, TableClassifier, TreeClassifier]

@@ -158,6 +158,26 @@ def _explanation_json(space: FeatureSpace, e: Explanation, x: Instance) -> dict:
     }
 
 
+def _decision_witness(space: FeatureSpace, d: explain.Decision) -> dict:
+    return {"instance": _instance_json(space, d.instance), "label": d.label}
+
+
+def _loose_witness(space: FeatureSpace, violation: tuple[Instance, int]) -> dict:
+    x, p = violation
+    return {
+        "instance": _instance_json(space, x),
+        "protected_feature": space.features[p].name,
+    }
+
+
+def _pi_pair(space: FeatureSpace, dv: fairness.DecisionVerdict) -> dict:
+    x = dv.decision.instance
+    return {
+        "fair_pi": _explanation_json(space, dv.fair_pi, x) if dv.fair_pi else None,
+        "unfair_pi": _explanation_json(space, dv.unfair_pi, x) if dv.unfair_pi else None,
+    }
+
+
 def _base_report(space: FeatureSpace, cs: ConstrainedSpace, digest: str) -> dict:
     return {
         "model_digest": digest,
@@ -215,32 +235,19 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
             "labels": [labels[cs.position(x)], labels[cs.position(y)]],
         }
     if verdict.existential_failure is not None:
-        d = verdict.existential_failure
-        witnesses["existential"] = {
-            "instance": _instance_json(space, d.instance),
-            "label": d.label,
-        }
+        witnesses["existential"] = _decision_witness(space, verdict.existential_failure)
     if verdict.universal_failure is not None:
         d = verdict.universal_failure
         witnesses["universal"] = {
-            "instance": _instance_json(space, d.instance),
-            "label": d.label,
+            **_decision_witness(space, d),
             "unfair_explanation": _explanation_json(
                 space, verdict.universal_unfair_pi, d.instance
             ),
         }
     if verdict.loose_violation is not None:
-        x, p = verdict.loose_violation
-        witnesses["loose"] = {
-            "instance": _instance_json(space, x),
-            "protected_feature": space.features[p].name,
-        }
+        witnesses["loose"] = _loose_witness(space, verdict.loose_violation)
     if verdict.disentangled_failure is not None:
-        d = verdict.disentangled_failure
-        witnesses["disentangled"] = {
-            "instance": _instance_json(space, d.instance),
-            "label": d.label,
-        }
+        witnesses["disentangled"] = _decision_witness(space, verdict.disentangled_failure)
     headline = {
         "ftu": verdict.ftu,
         "existential": verdict.existential,
@@ -283,13 +290,10 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
 
 
 def _decision_json(space, dv) -> dict:
-    x = dv.decision.instance
     return {
-        "instance": _instance_json(space, x),
-        "label": dv.decision.label,
+        **_decision_witness(space, dv.decision),
         "status": dv.status.value,
-        "fair_pi": _explanation_json(space, dv.fair_pi, x) if dv.fair_pi else None,
-        "unfair_pi": _explanation_json(space, dv.unfair_pi, x) if dv.unfair_pi else None,
+        **_pi_pair(space, dv),
     }
 
 
@@ -345,11 +349,7 @@ def _cmd_explain(args) -> int:
     report["label"] = dv.decision.label
     report["axps"] = [_explanation_json(space, e, x) for e in dv.axps]
     report["pi_explanations"] = [_explanation_json(space, e, x) for e in dv.pis]
-    report["verdict"] = {
-        "status": dv.status.value,
-        "fair_pi": _explanation_json(space, dv.fair_pi, x) if dv.fair_pi else None,
-        "unfair_pi": _explanation_json(space, dv.unfair_pi, x) if dv.unfair_pi else None,
-    }
+    report["verdict"] = {"status": dv.status.value, **_pi_pair(space, dv)}
     report["warnings"] = list(fairness.space_warnings(cs))
     lines = [
         f"decision: {_instance_json(space, x)} -> {dv.decision.label}",
@@ -383,38 +383,24 @@ def _cmd_check(args) -> int:
     report = _base_report(space, cs, digest)
     report["check"] = args.what
     witnesses: dict = {}
+    where = ""
     if args.what == "scope":
         holds = True
-        result: object = report["scope_profile"]
-        line = f"scope: {result}"
     elif args.what == "loose":
         holds, violation = fairness.check_loose(cs)
-        result = holds
-        line = f"loose: {_word(holds)}"
         if violation is not None:
-            x, p = violation
-            witnesses["loose"] = {
-                "instance": _instance_json(space, x),
-                "protected_feature": space.features[p].name,
-            }
-            line += (
-                f" at {_instance_json(space, x)} via {space.features[p].name}"
-            )
+            w = witnesses["loose"] = _loose_witness(space, violation)
+            where = f" at {w['instance']} via {w['protected_feature']}"
     elif args.what == "decomposable":
         holds = fairness.check_decomposable(cs)
-        result = holds
-        line = f"decomposable: {_word(holds)}"
     else:  # disentangled
         holds, failure = fairness.check_disentangled(cs, k)
-        result = holds
-        line = f"disentangled: {_word(holds)}"
         if failure is not None:
-            witnesses["disentangled"] = {
-                "instance": _instance_json(space, failure.instance),
-                "label": failure.label,
-            }
-            line += f" at {_instance_json(space, failure.instance)}"
-    report["result"] = result
+            w = witnesses["disentangled"] = _decision_witness(space, failure)
+            where = f" at {w['instance']}"
+    scope = args.what == "scope"
+    report["result"] = report["scope_profile"] if scope else holds
+    line = f"{args.what}: {report['result'] if scope else _word(holds)}{where}"
     report["witnesses"] = witnesses
     report["warnings"] = list(fairness.space_warnings(cs))
     _emit(args, report, [line], started)

@@ -62,7 +62,7 @@ def make_decision(cs: ConstrainedSpace, k: Classifier, x: Instance) -> Decision:
 def is_weak_axp(cs: ConstrainedSpace, d: Decision, features: Iterable[int]) -> bool:
     cov = cs.coverage_mask(d.instance, features)
     good = cs.label_mask(d.classifier, d.label)
-    return cov & ~good == 0
+    return cov & good == cov
 
 
 def subsumes(
@@ -74,7 +74,7 @@ def subsumes(
         raise ModelSemanticError(f"instance {x!r} does not satisfy the constraints")
     cov_a = cs.coverage_mask(x, a)
     cov_b = cs.coverage_mask(x, b)
-    return cov_b & ~cov_a == 0
+    return cov_b & cov_a == cov_b
 
 
 def strictly_subsumes(
@@ -84,7 +84,7 @@ def strictly_subsumes(
         raise ModelSemanticError(f"instance {x!r} does not satisfy the constraints")
     cov_a = cs.coverage_mask(x, a)
     cov_b = cs.coverage_mask(x, b)
-    return cov_b & ~cov_a == 0 and cov_a != cov_b
+    return cov_b & cov_a == cov_b and cov_a != cov_b
 
 
 def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...], int]]:
@@ -144,7 +144,7 @@ def reasons(
     pis = tuple(
         _explanation(cs, f, ExplanationKind.PI, cov)
         for f, cov in found
-        if not any(cov & ~other == 0 and cov != other for _, other in found)
+        if not any(cov & other == cov and cov != other for _, other in found)
     )
     return axps, pis
 
@@ -179,7 +179,7 @@ def one_axp(
     for i in order:
         keep.discard(i)
         cov = cs.coverage_mask(d.instance, keep)
-        if cov & ~good != 0:
+        if cov & good != cov:
             keep.add(i)
     feats = tuple(sorted(keep))
     return _explanation(

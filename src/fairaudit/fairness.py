@@ -9,16 +9,19 @@ The three classifier-level notions, strongest first:
     unprotected features always receive the same label.
 
 Looseness and disentangledness are the cheaper structural conditions
-that tie FTU back to existential fairness. All witness choices are the
-least in canonical enumeration order. An empty constrained space makes
-every check vacuously true; callers can surface space_warnings().
+that tie FTU back to existential fairness. FTU, its completion,
+looseness and decomposability are projections of rank masks
+(ConstrainedSpace.exists). All witness choices are the least in
+canonical enumeration order. An empty constrained space makes every
+check vacuously true; callers can surface space_warnings().
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from math import prod
 from typing import Iterable
 
 from . import satcheck
@@ -30,6 +33,7 @@ from .model import (
     FeatureSpace,
     Instance,
     ScopeProfile,
+    bit_flags,
     constraint_scope_profile,
 )
 
@@ -121,7 +125,7 @@ def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
     gets a different label."""
     cov = cs.coverage_mask(x, cs.space.unprotected)
     same = cs.label_mask(k, cs.labels(k)[cs.position(x)])
-    return cov & ~same == 0
+    return cov & same == cov
 
 
 def check_ftu(
@@ -142,18 +146,30 @@ def check_ftu(
 def _check_ftu_exhaustive(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, tuple[Instance, Instance] | None]:
-    unprotected = sorted(cs.space.unprotected)
-    labels = cs.labels(k)
-    groups: dict[tuple, list[int]] = {}
-    for pos, x in enumerate(cs.instances):
-        groups.setdefault(tuple(x[i] for i in unprotected), []).append(pos)
-    for pos, x in enumerate(cs.instances):
-        group = groups[tuple(x[i] for i in unprotected)]
-        for other in group:
-            if labels[other] != labels[pos]:
-                # pos is the least member of the first conflicting group
-                return False, (x, cs.instances[other])
-    return True, None
+    # FTU fails where the label projections of two labels meet in F[C]
+    seen = twice = 0
+    for e in _label_projections(cs, k).values():
+        twice |= seen & e
+        seen |= e
+    if not twice & cs.sel:
+        return True, None
+    x = cs.least(twice & cs.sel)
+    same = cs.label_mask(k, cs.labels(k)[cs.position(x)])
+    return False, (x, cs.least(cs.coverage_mask(x, cs.space.unprotected) & ~same))
+
+
+def _label_projections(cs: ConstrainedSpace, k: Classifier) -> dict[int, int]:
+    """Per label c, the ranks whose unprotected values an F[C] instance labelled c has."""
+    return {
+        c: cs.exists(cs.label_mask(k, c), cs.space.protected)
+        for c in sorted(set(cs.labels(k)))
+    }
+
+
+def _projection_count(cs: ConstrainedSpace, mask: int, forget: Iterable[int]) -> int:
+    """How many distinct projections the mask's ranks have, ``forget`` forgotten."""
+    cube = prod(len(cs.space.features[j].domain) for j in forget)
+    return cs.exists(mask, forget).bit_count() // cube
 
 
 def build_completion(
@@ -169,16 +185,12 @@ def build_completion(
         )
     if not 0 <= default_label < k.class_count:
         raise ModelSemanticError(f"default label {default_label} out of range")
-    unprotected = sorted(cs.space.unprotected)
-    by_projection: dict[tuple, int] = {}
-    for x, label in zip(cs.instances, cs.labels(k)):
-        by_projection.setdefault(tuple(x[i] for i in unprotected), label)
+    labels = [default_label] * cs.size
+    for c, e in _label_projections(cs, k).items():  # disjoint under FTU
+        for r in compress(range(cs.size), bit_flags(e, cs.size)):
+            labels[r] = c
     domains = tuple(f.domain for f in cs.space.features)
-    labels = tuple(
-        by_projection.get(tuple(x[i] for i in unprotected), default_label)
-        for x in itertools.product(*domains)
-    )
-    return TableClassifier(domains, labels, k.class_count)
+    return TableClassifier(domains, tuple(labels), k.class_count)
 
 
 def check_loose(
@@ -186,26 +198,31 @@ def check_loose(
 ) -> tuple[bool, tuple[Instance, int] | None]:
     """Classifier-independent: nowhere does a single protected literal
     strictly subsume the full unprotected assignment."""
-    for x in cs.instances:
-        p = _loose_violation_at(cs, x)
-        if p is not None:
-            return False, (x, p)
-    return True, None
+    found = [(m & -m, p) for p, m in loose_violators(cs).items() if m]
+    if not found:
+        return True, None
+    lowest, p = min(found)  # the lowest rank, then the least protected feature
+    return False, (cs.least(lowest), p)
 
 
 def check_loose_at(cs: ConstrainedSpace, x: Instance) -> bool:
     if not cs.contains(x):
         raise ModelSemanticError(f"instance {x!r} does not satisfy the constraints")
-    return _loose_violation_at(cs, x) is None
+    return not any(m >> cs.rank(x) & 1 for m in loose_violators(cs).values())
 
 
-def _loose_violation_at(cs: ConstrainedSpace, x: Instance) -> int | None:
-    cov_n = cs.coverage_mask(x, cs.space.unprotected)
-    for p in sorted(cs.space.protected):
-        cov_p = cs.coverage_mask(x, (p,))
-        if cov_n & ~cov_p == 0 and cov_n != cov_p:
-            return p
-    return None
+def loose_violators(cs: ConstrainedSpace) -> dict[int, int]:
+    """Per protected p, ascending, the ranks x in F[C] whose unprotected
+    cube has only p = x_p, a value some other unprotected cube has too."""
+    protected = cs.space.protected
+    return {
+        p: sum(  # disjoint across p's values
+            cs.sel & m & ~cs.exists(cs.sel & ~m, protected)
+            for m in cs.rank_masks[p].values()
+            if _projection_count(cs, cs.sel & m, protected) >= 2
+        )
+        for p in sorted(protected)
+    }
 
 
 def decision_disentangled(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -218,14 +235,14 @@ def decision_disentangled(cs: ConstrainedSpace, k: Classifier, x: Instance) -> b
 def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]) -> bool:
     x = d.instance
     cov_n = cs.coverage_mask(x, cs.space.unprotected)
-    if cov_n & ~cs.label_mask(d.classifier, d.label) != 0:
+    if cov_n & cs.label_mask(d.classifier, d.label) != cov_n:
         return False
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
     for e in axps:
         for p in cs.space.protected:
             cov_q = cs.coverage_mask(x, e.features + (p,))
-            if cov_n & ~cov_q == 0 and cov_n != cov_q:
+            if cov_n & cov_q == cov_n and cov_n != cov_q:
                 return False
     return True
 
@@ -243,13 +260,10 @@ def check_decomposable(cs: ConstrainedSpace) -> bool:
     """Semantic counterpart of a scope profile without crossing
     constraints: the constrained space factorizes into its protected
     and unprotected projections."""
-    protected = sorted(cs.space.protected)
-    unprotected = sorted(cs.space.unprotected)
-    proj_p = {tuple(x[i] for i in protected) for x in cs.instances}
-    proj_n = {tuple(x[i] for i in unprotected) for x in cs.instances}
-    # x -> (x on P, x on N) is one-to-one into proj_p x proj_n, so it is
-    # onto exactly when the sizes match
-    return len(proj_p) * len(proj_n) == len(cs.instances)
+    # x -> (x on P, x on N) is one-to-one into the product of the two
+    # projections, so it is onto exactly when the sizes match
+    on_p = _projection_count(cs, cs.sel, cs.space.unprotected)
+    return on_p * _projection_count(cs, cs.sel, cs.space.protected) == len(cs)
 
 
 def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict:

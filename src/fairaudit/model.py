@@ -78,10 +78,7 @@ class FeatureSpace:
         return self._by_name.get(name)
 
     def full_size(self) -> int:
-        size = 1
-        for f in self.features:
-            size *= len(f.domain)
-        return size
+        return prod(len(f.domain) for f in self.features)
 
     def validate_instance(self, x: Sequence[Value]) -> Instance:
         if len(x) != self.n:
@@ -217,13 +214,13 @@ def constraint_scope_profile(
 class ConstrainedSpace:
     """All instances satisfying the constraints, in canonical order.
 
-    Coverage sets are exposed as bitmasks indexed by position in
-    ``instances``; bit i set means ``instances[i]`` belongs to the set.
-    Underneath, the full space is indexed by rank, the position in
-    ``itertools.product`` order: ``rank_masks[i][v]`` has bit r set when
-    rank r gives feature i value v, and ``selector[r]`` is 1 when rank r
-    satisfies the constraints. Masks over positions are rank masks
-    pushed through the selector.
+    Every mask is a set of ranks of the full space, a rank being the
+    position in ``itertools.product`` order: ``rank_masks[i][v]`` has bit
+    r set when rank r gives feature i value v, and ``sel`` holds the
+    ranks that satisfy the constraints. Every mask taken from the space
+    lies inside ``sel``, so popcounts count constrained instances and the
+    lowest set rank is the least instance in canonical order. Positions
+    index ``instances``, ``labels(k)`` and ``packed_codes()``.
     """
 
     def __init__(
@@ -231,16 +228,18 @@ class ConstrainedSpace:
         space: FeatureSpace,
         constraints: ConstraintSet,
         rank_masks: list[dict[Value, int]],
-        selector: bytes,
+        sel: int,
     ):
         self.space = space
         self.constraints = constraints
         self.rank_masks = rank_masks
-        self.selector = selector
-        domains = [f.domain for f in space.features]
-        self.instances = tuple(compress(product(*domains), selector))
+        self.sel = sel
+        self.size = space.full_size()
+        self._domains = [f.domain for f in space.features]
+        # ranks between consecutive values of feature i
+        self._strides = [prod(map(len, self._domains[i + 1:])) for i in range(space.n)]
+        self.instances = self.instances_of_mask(sel)
         self._position = {x: i for i, x in enumerate(self.instances)}
-        self._value_masks: list[dict[Value, int]] | None = None
         self._label_cache: dict[object, tuple[int, ...]] = {}
         self._label_masks: dict[tuple, int] = {}
         self._codes: tuple[int, list[int]] | None = None
@@ -259,37 +258,34 @@ class ConstrainedSpace:
                 f"instance {x!r} does not satisfy the constraints"
             ) from None
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.instances)) - 1
+    def rank(self, x: Instance) -> int:
+        return sum(d.index(v) * s for d, v, s in zip(self._domains, x, self._strides))
 
-    def _masks(self) -> list[dict[Value, int]]:
-        if self._value_masks is None:
-            size = len(self.selector)
-            # a byte per rank, highest rank first, as the digits of a rank
-            # mask are; 0x80 marks the ranks outside F[C] for deletion
-            outside = int.from_bytes(self.selector.translate(_OUTSIDE), "little")
-
-            def compact(m: int) -> int:
-                digits = int.from_bytes(format(m, f"0{size}b").encode(), "big")
-                kept = (digits | outside).to_bytes(size, "big").translate(None, _MARKED)
-                return int(kept or b"0", 2)
-
-            self._value_masks = [
-                {v: compact(m) for v, m in feat.items()} for feat in self.rank_masks
-            ]
-        return self._value_masks
+    def least(self, mask: int) -> Instance:
+        """The instance at the lowest set rank of a nonzero mask."""
+        r = (mask & -mask).bit_length() - 1
+        return tuple(d[r // s % len(d)] for d, s in zip(self._domains, self._strides))
 
     def value_mask(self, feature: int, value: Value) -> int:
-        return self._masks()[feature][value]
+        return self.rank_masks[feature][value] & self.sel
 
     def coverage_mask(self, x: Instance, features: Iterable[int]) -> int:
-        mask = self.full_mask
-        masks = self._masks()
+        mask = self.sel
         for i in features:
-            mask &= masks[i][x[i]]
+            mask &= self.rank_masks[i][x[i]]
             if not mask:
                 break
+        return mask
+
+    def exists(self, mask: int, features: Iterable[int]) -> int:
+        """Forget the features: every rank agreeing off ``features`` with
+        some rank of the mask. The result may leave ``sel``."""
+        for j in features:
+            shifts = [t * self._strides[j] for t in range(len(self._domains[j]))]
+            base = 0  # the projection, on the ranks where feature j has index 0
+            for m, shift in zip(self.rank_masks[j].values(), shifts):
+                base |= (mask & m) >> shift
+            mask = sum(base << shift for shift in shifts)  # disjoint: sum is OR
         return mask
 
     def packed_codes(self) -> tuple[int, list[int]]:
@@ -305,13 +301,14 @@ class ConstrainedSpace:
         return self._codes
 
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
-        return tuple(compress(self.instances, bit_flags(mask, len(self.instances))))
+        flags = bit_flags(mask & self.sel, self.size)  # F[C]'s ranks only
+        return tuple(compress(product(*self._domains), flags))
 
     def labels(self, classifier) -> tuple[int, ...]:
         got = self._label_cache.get(classifier)
         if got is None:
-            ranked = classifier.rank_labels(self.rank_masks, len(self.selector))
-            got = tuple(compress(ranked, self.selector))
+            ranked = classifier.rank_labels(self.rank_masks, self.size)
+            got = tuple(compress(ranked, bit_flags(self.sel, self.size)))
             self._label_cache[classifier] = got
         return got
 
@@ -319,15 +316,14 @@ class ConstrainedSpace:
         key = (classifier, label)
         mask = self._label_masks.get(key)
         if mask is None:
-            mask = pack_bits(map(label.__eq__, self.labels(classifier)))
+            ranked = classifier.rank_labels(self.rank_masks, self.size)
+            mask = pack_bits(map(label.__eq__, ranked)) & self.sel
             self._label_masks[key] = mask
         return mask
 
 
 _FLAG = bytes.maketrans(b"01", b"\0\1")
 _DIGIT = bytes.maketrans(b"\0\1", b"01")
-_OUTSIDE = bytes.maketrans(b"\0\1", b"\x80\0")
-_MARKED = b"\xb0\xb1"  # the digits "0" and "1" marked with 0x80
 
 
 def bit_flags(mask: int, size: int) -> bytes:
@@ -370,7 +366,7 @@ def enumerate_space(space: FeatureSpace, constraints: ConstraintSet) -> Constrai
     satisfied = ones
     for c in constraints:
         satisfied &= boolexpr.evaluate_mask(c.expr, masks, ones)
-    return ConstrainedSpace(space, constraints, masks, bit_flags(satisfied, size))
+    return ConstrainedSpace(space, constraints, masks, satisfied)
 
 
 def unconstrained(space: FeatureSpace) -> ConstrainedSpace:

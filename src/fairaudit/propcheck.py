@@ -27,10 +27,10 @@ from .fairness import (
     build_completion,
     check_ftu,
     check_loose,
-    check_loose_at,
     classifier_verdict,
     decision_verdicts,
     ftu_at,
+    loose_violators,
 )
 from .model import (
     ConstrainedSpace,
@@ -133,8 +133,10 @@ def _check_loose_links(cs, k, verdict, flags_cs) -> list[str]:
     loose, _ = check_loose(cs)
     if loose and verdict.ftu and not verdict.existential:
         out.append("loose constraints with FTU but no fair reason somewhere")
+    violators = loose_violators(cs).values()
     for x in cs.instances:
-        if check_loose_at(cs, x) and ftu_at(cs, k, x) and not flags_cs[x][0]:
+        loose_at = not any(m >> cs.rank(x) & 1 for m in violators)
+        if loose_at and ftu_at(cs, k, x) and not flags_cs[x][0]:
             out.append(f"loose and FTU at {x} but no fair reason there")
     if verdict.disentangled and not verdict.existential:
         out.append("disentangled classifier without existential fairness")

@@ -140,3 +140,24 @@ def test_multiclass_tree(load_model):
     assert k.evaluate((False, 0)) == 0
     assert k.evaluate((True, 1)) == 1
     assert k.evaluate((True, 2)) == 2
+
+
+def test_rank_labels_can_be_read_twice(load_model):
+    from fairaudit.model import rank_masks
+
+    loaded = load_model("spouses")  # m bool, n in {0,1,2}
+    domains = [f.domain for f in loaded.space.features]
+    nodes = [
+        {"id": 0, "feature": "n", "value": 0, "if_true": 1, "if_false": 2},
+        {"id": 1, "label": 0},
+        {"id": 2, "feature": "m", "value": True, "if_true": 3, "if_false": 4},
+        {"id": 3, "label": 1},
+        {"id": 4, "label": 2},
+    ]
+    tree = parse_classifier({"form": "tree", "nodes": nodes}, loaded.space)
+    expected = [tree.evaluate(x) for x in itertools.product(*domains)]
+    assert set(expected) == {0, 1, 2}
+    for k in (tree, loaded.classifier, to_table(loaded.classifier, loaded.space)):
+        ranked = k.rank_labels(rank_masks(domains), len(expected))
+        first, second = list(ranked), list(ranked)
+        assert first == second == [k.evaluate(x) for x in itertools.product(*domains)]

@@ -13,6 +13,7 @@ from fairaudit import (
     FeatureSpace,
     FtuViolationError,
     ModelSemanticError,
+    TableClassifier,
     build_completion,
     check_decomposable,
     check_disentangled,
@@ -34,7 +35,7 @@ from fairaudit.fairness import (
     space_warnings,
 )
 from fairaudit.model import ConstraintSet
-from fairaudit.randmodels import random_model
+from fairaudit.randmodels import random_constraints, random_model, random_space
 
 B = (False, True)
 
@@ -110,6 +111,50 @@ class TestFtu:
         with pytest.raises(ModelSemanticError):
             # m = f = 1 violates (iff m (not f))
             ftu_at(loaded.constrained(), loaded.classifier, (True, True, False))
+
+    def test_multiclass_tables_match_the_pairwise_oracle(self):
+        rng = random.Random(41)
+        outcomes = []
+        for _ in range(150):
+            cs, k = random_multiclass_table(rng)
+            outcomes.append(check_ftu(cs, k))
+            assert outcomes[-1] == brute_force_ftu(cs, k)
+        assert 30 <= sum(holds for holds, _ in outcomes) <= 120
+
+
+def random_multiclass_table(rng):
+    """A constrained space with a table of 2-5 classes over domains of up
+    to 5 values: a function of the unprotected values (FTU everywhere),
+    the same with one row changed, or random rows."""
+    space = random_space(rng, max_features=4, max_domain=5)
+    cs = enumerate_space(space, random_constraints(rng, space))
+    classes = rng.randint(2, 5)
+    domains = tuple(f.domain for f in space.features)
+    full = list(itertools.product(*domains))
+    kind = rng.randrange(3)
+    if kind == 2:
+        labels = [rng.randrange(classes) for _ in full]
+    else:
+        by_n: dict = {}
+        labels = [
+            by_n.setdefault(tuple(x[i] for i in sorted(space.unprotected)),
+                            rng.randrange(classes))
+            for x in full
+        ]
+        if kind == 1:
+            labels[rng.randrange(len(full))] = rng.randrange(classes)
+    return cs, TableClassifier(domains, tuple(labels), classes)
+
+
+def brute_force_ftu(cs, k):
+    """The least x whose unprotected projection some constrained instance
+    labelled otherwise shares, with the least such instance."""
+    unprotected = sorted(cs.space.unprotected)
+    for x in cs.instances:
+        for y in cs.instances:
+            if all(y[i] == x[i] for i in unprotected) and k.evaluate(y) != k.evaluate(x):
+                return False, (x, y)
+    return True, None
 
 
 class TestClassifierVerdict:
@@ -221,6 +266,30 @@ class TestCompletion:
         x, y = err.value.counterexample
         assert loaded.classifier.evaluate(x) != loaded.classifier.evaluate(y)
 
+    def test_multiclass_completion_matches_the_projection_oracle(self):
+        rng = random.Random(43)
+        built = 0
+        for _ in range(150):
+            cs, k = random_multiclass_table(rng)
+            default = rng.randrange(k.class_count)
+            holds, pair = brute_force_ftu(cs, k)
+            if not holds:
+                with pytest.raises(FtuViolationError) as err:
+                    build_completion(cs, k, default)
+                assert err.value.counterexample == pair
+                continue
+            built += 1
+            hat = build_completion(cs, k, default)
+            unprotected = sorted(cs.space.unprotected)
+            first: dict = {}  # unprotected values -> the least instance with them
+            for x in cs.instances:
+                first.setdefault(tuple(x[i] for i in unprotected), x)
+            for z in itertools.product(*k.domains):
+                seen = first.get(tuple(z[i] for i in unprotected))
+                assert hat.evaluate(z) == (default if seen is None else k.evaluate(seen))
+            assert hat.class_count == k.class_count
+        assert built >= 30
+
 
 class TestLoose:
     def test_mirrored_constraints_are_loose(self, load_model):
@@ -250,28 +319,41 @@ class TestLoose:
     def test_unconstrained_spaces_are_loose(self):
         # counting oracle: with no constraints and every protected domain
         # of size two or more, a single protected literal never pins the
-        # unprotected assignment strictly
+        # unprotected assignment strictly. With constraints, python sets
+        # give the verdict, the least witness and every pointwise answer.
         rng = random.Random(2)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            features = [
-                Feature(i, f"f{i}", (False, True) if rng.random() < 0.7 else (0, 1, 2),
-                        rng.random() < 0.5)
-                for i in range(n)
-            ]
-            cs = unconstrained(FeatureSpace(features))
-            holds, _ = check_loose(cs)
-            assert holds
-            # brute-force cross-check with python sets
-            for x in cs.instances:
-                cov_n = {
-                    y
-                    for y in cs.instances
-                    if all(y[i] == x[i] for i in cs.space.unprotected)
-                }
-                for p in cs.space.protected:
-                    cov_p = {y for y in cs.instances if y[p] == x[p]}
-                    assert not (cov_n < cov_p)
+        violated = 0
+        for _ in range(60):
+            space = random_space(rng, max_features=4, max_domain=5, min_features=1)
+            constrained = enumerate_space(space, random_constraints(rng, space))
+            for cs in (unconstrained(space), constrained):
+                holds, violation = check_loose(cs)
+                assert (holds, violation) == brute_force_loose(cs)
+                for x in cs.instances:
+                    assert check_loose_at(cs, x) == (loose_violation_at(cs, x) is None)
+            assert check_loose(unconstrained(space)) == (True, None)
+            violated += violation is not None
+        assert violated >= 10
+
+
+def loose_violation_at(cs, x):
+    """The least protected feature whose literal at x strictly subsumes
+    x's unprotected assignment, by python sets; None when there is none."""
+    cov_n = {
+        y for y in cs.instances if all(y[i] == x[i] for i in cs.space.unprotected)
+    }
+    for p in sorted(cs.space.protected):
+        if cov_n < {y for y in cs.instances if y[p] == x[p]}:
+            return p
+    return None
+
+
+def brute_force_loose(cs):
+    for x in cs.instances:
+        p = loose_violation_at(cs, x)
+        if p is not None:
+            return False, (x, p)
+    return True, None
 
 
 def brute_force_disentangled(cs, k, x) -> bool:
@@ -383,7 +465,7 @@ class TestDecomposable:
         rng = random.Random(23)
         outcomes = []
         for _ in range(200):
-            rm = random_model(rng, max_features=5, max_domain=4)
+            rm = random_model(rng, max_features=5, max_domain=5)
             for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
                 outcomes.append(check_decomposable(cs))
                 assert outcomes[-1] == brute_force_decomposable(cs)

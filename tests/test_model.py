@@ -315,7 +315,8 @@ class TestPartialAssignment:
 
 class TestBitParallelAgainstBruteForce:
     """The constrained space, its masks and labels against per-instance
-    evaluation over itertools.product."""
+    evaluation over itertools.product. Masks are indexed by rank, the
+    position in the full product, and hold only constrained instances."""
 
     @staticmethod
     def check(space, constraints, classifiers=(), probes=8):
@@ -325,17 +326,19 @@ class TestBitParallelAgainstBruteForce:
         from fairaudit import boolexpr
 
         domains = [f.domain for f in space.features]
+        full = list(itertools.product(*domains))
         brute = [
-            x
-            for x in itertools.product(*domains)
-            if all(boolexpr.evaluate(c.expr, x) for c in constraints)
+            x for x in full if all(boolexpr.evaluate(c.expr, x) for c in constraints)
         ]
+        inside = set(brute)
         cs = enumerate_space(space, constraints)
         assert list(cs.instances) == brute
+        assert [cs.rank(x) for x in brute] == [r for r, x in enumerate(full) if x in inside]
 
         def bits(pred):
-            return sum(1 << p for p, x in enumerate(brute) if pred(x))
+            return sum(1 << r for r, x in enumerate(full) if x in inside and pred(x))
 
+        assert cs.sel == bits(lambda x: True)
         for i, f in enumerate(space.features):
             for v in f.domain:
                 assert cs.value_mask(i, v) == bits(lambda x: x[i] == v)
@@ -344,10 +347,13 @@ class TestBitParallelAgainstBruteForce:
             for label in range(k.class_count):
                 assert cs.label_mask(k, label) == bits(lambda x: k.evaluate(x) == label)
         rng = random.Random(len(brute))
-        for mask in [0, cs.full_mask] + [rng.getrandbits(len(brute)) for _ in range(probes)]:
-            assert cs.instances_of_mask(mask) == tuple(
-                x for p, x in enumerate(brute) if mask >> p & 1
+        for mask in [0, cs.sel] + [rng.getrandbits(len(full)) for _ in range(probes)]:
+            got = cs.instances_of_mask(mask)
+            assert got == tuple(
+                x for r, x in enumerate(full) if mask >> r & 1 and x in inside
             )
+            if got:
+                assert cs.least(mask & cs.sel) == got[0]
         return cs
 
     def test_seeded_random_models(self):
@@ -421,7 +427,7 @@ class TestBitParallelAgainstBruteForce:
         assert len(cs) == 2
         empty = ConstraintSet((Constraint(Const(False)),))
         cs = self.check(space, empty, [k, table])
-        assert cs.instances == () and cs.labels(k) == () and cs.full_mask == 0
+        assert cs.instances == () and cs.labels(k) == () and cs.sel == 0
         single = FeatureSpace([Feature(0, "a", (False,), False)])
         self.check(single, ConstraintSet(), [ExpressionClassifier(Var(0))])
 
@@ -462,3 +468,51 @@ class TestBitParallelAgainstBruteForce:
         for cons in (constraints, ConstraintSet()):
             cs = self.check(space, cons, [table, tree])
             assert set(cs.labels(tree)) == {0, 1, 2, 3, 300}
+
+
+class TestExists:
+    """ConstrainedSpace.exists against forgetting by hand: a rank is in
+    the projection when its values off the forgotten features are those
+    of some rank in the mask."""
+
+    @staticmethod
+    def brute(full, mask, forget):
+        keep = [i for i in range(len(full[0])) if i not in set(forget)]
+        seen = {tuple(y[i] for i in keep) for r, y in enumerate(full) if mask >> r & 1}
+        return sum(1 << r for r, z in enumerate(full) if tuple(z[i] for i in keep) in seen)
+
+    def test_matches_brute_force_on_seeded_spaces(self):
+        import itertools
+        import random
+
+        from fairaudit.randmodels import random_constraints, random_space
+
+        rng = random.Random(31)
+        domain_sizes = set()
+        for _ in range(80):
+            space = random_space(rng, max_features=5, max_domain=5, min_features=1)
+            domain_sizes |= {len(f.domain) for f in space.features}
+            cs = enumerate_space(space, random_constraints(rng, space))
+            full = list(itertools.product(*(f.domain for f in space.features)))
+            every = tuple(range(space.n))
+            some = tuple(i for i in every if rng.random() < 0.5)
+            for mask in (0, cs.sel, rng.getrandbits(len(full)) & cs.sel,
+                         rng.getrandbits(len(full))):
+                for forget in ((), every, some, (space.n - 1,)):
+                    assert cs.exists(mask, forget) == self.brute(full, mask, forget)
+            assert cs.exists(cs.sel, every) == ((1 << len(full)) - 1 if len(cs) else 0)
+            assert cs.exists(cs.sel, ()) == cs.sel
+        assert domain_sizes >= {2, 3, 4, 5}
+
+    def test_empty_constrained_space(self):
+        from fairaudit.boolexpr import Const
+        from fairaudit.model import Constraint, ConstraintSet
+
+        space = FeatureSpace(
+            [Feature(0, "a", (0, 1, 2, 3, 4), True), Feature(1, "b", (False, True), False)]
+        )
+        cs = enumerate_space(space, ConstraintSet((Constraint(Const(False)),)))
+        assert cs.sel == 0
+        for forget in ((), (0,), (1,), (0, 1)):
+            assert cs.exists(cs.sel, forget) == 0
+
