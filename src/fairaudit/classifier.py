@@ -10,19 +10,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import partial, reduce
-from operator import add
 from typing import Mapping, Sequence, Union
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value
 from .errors import DocumentError, ModelSemanticError
-from .model import ConstrainedSpace, FeatureSpace, Instance, bit_flags, rank_masks
+from .model import (
+    ConstrainedSpace,
+    FeatureSpace,
+    Instance,
+    flat_labels,
+    pack_bits,
+    rank_masks,
+)
 
-# each form's rank_labels(masks, size) gives its labels over the full
-# space in rank order, from model.rank_masks of the space's domains, as a
-# sequence that can be read more than once
+# each form's label_masks(masks, size) gives, per label it assigns, the
+# ranks of the full space with that label, evaluated bit-parallel on
+# model.rank_masks of the space's domains; every label has that one producer
 RankMasks = Sequence[Mapping[Value, int]]
+
+
+class _Form:
+    def rank_labels(self, masks: RankMasks, size: int) -> Sequence[int]:
+        """The labels over the full space in rank order, as a sequence
+        that can be read more than once."""
+        return flat_labels(self.label_masks(masks, size), size)
 
 
 def _hash_fields(k) -> None:
@@ -36,7 +48,7 @@ def _stored_hash(k) -> int:
 
 
 @dataclass(frozen=True)
-class ExpressionClassifier:
+class ExpressionClassifier(_Form):
     expr: BoolExpr
 
     def __post_init__(self):
@@ -51,12 +63,14 @@ class ExpressionClassifier:
     def evaluate(self, x: Instance) -> int:
         return 1 if boolexpr.evaluate(self.expr, x) else 0
 
-    def rank_labels(self, masks: RankMasks, size: int) -> bytes:
-        return bit_flags(boolexpr.evaluate_mask(self.expr, masks, (1 << size) - 1), size)
+    def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
+        ones = (1 << size) - 1
+        true = boolexpr.evaluate_mask(self.expr, masks, ones)
+        return {0: ones ^ true, 1: true}
 
 
 @dataclass(frozen=True)
-class TableClassifier:
+class TableClassifier(_Form):
     """Labels for every instance of the full space, in canonical order."""
 
     domains: tuple[tuple[Value, ...], ...]
@@ -89,8 +103,8 @@ class TableClassifier:
     def evaluate(self, x: Instance) -> int:
         return self.labels[self._rank(x)]
 
-    def rank_labels(self, masks: RankMasks, size: int) -> tuple[int, ...]:
-        return self.labels
+    def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
+        return {c: pack_bits(map(c.__eq__, self.labels)) for c in set(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,7 @@ class TreeLeaf:
 
 
 @dataclass(frozen=True)
-class TreeClassifier:
+class TreeClassifier(_Form):
     """Binary tree whose internal nodes test feature = value."""
 
     nodes: tuple[Union[TreeNode, TreeLeaf], ...]
@@ -167,7 +181,7 @@ class TreeClassifier:
             node = self._by_id[branch]
         return node.label
 
-    def rank_labels(self, masks: RankMasks, size: int) -> Sequence[int]:
+    def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
         """Each label's ranks are the OR of the masks of the root-to-leaf
         paths ending in that label; a path's mask ANDs its tests."""
         by_label: dict[int, int] = {}
@@ -182,9 +196,7 @@ class TreeClassifier:
             for child, sub in ((node.if_true, reach & hit), (node.if_false, reach & ~hit)):
                 if sub:  # no rank follows an empty path, so the walk stays finite
                     stack.append((child, sub))
-        # the label masks are disjoint: sum label * flag over the labels
-        rows = [map(lab.__mul__, bit_flags(m, size)) for lab, m in by_label.items() if lab]
-        return tuple(reduce(partial(map, add), rows)) if rows else bytes(size)
+        return by_label
 
 
 Classifier = Union[ExpressionClassifier, TableClassifier, TreeClassifier]

@@ -5,27 +5,51 @@ force the classifier's output on every constrained instance. AXps are
 the subset-minimal ones; prime-implicant explanations are the AXps
 whose coverage is not properly contained in another AXp's coverage.
 
-AXps are enumerated by the AXp/CXp duality (Ignatiev, Narodytska, Asher
-& Marques-Silva, "From contrastive to abductive explanations and back
-again", AI*IA 2020): a feature set is a weak AXp exactly when it meets
-the difference set {i : y_i != x_i} of every constrained instance y
-labelled otherwise, so the AXps are the minimal hitting sets of the
-minimal difference sets.
+Two engines find the AXps, with the same answers:
+
+  * Berge's algorithm, one decision at a time, by the AXp/CXp duality
+    (Ignatiev, Narodytska, Asher & Marques-Silva, "From contrastive to
+    abductive explanations and back again", AI*IA 2020): a feature set
+    is a weak AXp exactly when it meets the difference set
+    {i : y_i != x_i} of every constrained instance y labelled
+    otherwise, so the AXps are the minimal hitting sets of the minimal
+    difference sets. Its work is one step per such y.
+  * the forgetting lattice, every decision at once: S is a weak AXp at
+    x exactly when x lies outside the projection of the instances
+    labelled otherwise with the features off S forgotten (Lin & Reiter,
+    "Forget it!", 1994; Darwiche & Marquis, "A knowledge compilation
+    map", JAIR 2002). One depth-first walk over the feature sets, each
+    set's projections one ConstrainedSpace.exists from its parent's,
+    costs about 2^n * n * ceil(|F| / 64) mask-word steps.
+
+A walk over many decisions (DecisionReasons) starts with Berge and
+counts its steps as it goes; once the next decision would take them
+past the lattice's count over BERGE_STEP_WORDS, one lattice walk finds
+the AXps of that decision and of every later one. Whether the caller
+reads every decision or stops early, the walk so pays a small multiple
+of what the better engine would have.
+One decision (reasons, and so the explain command) always takes Berge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import or_
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .classifier import Classifier
 from .errors import CapacityError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
 
 SUBSET_CAP = 20
+
+# a Berge step, one difference set, cost as much as 18 to 108 counted
+# 64-bit word steps of the lattice on dense boolean spaces of 11 to 14
+# features (more on one-hot ones, where the walk ends branches early).
+# Where it costs r, a walk pays at most 1 + max(r, R) / min(r, R) times
+# the better engine for this R, so 3.7 times over that range
+BERGE_STEP_WORDS = 48
 
 
 class ExplanationKind(Enum):
@@ -87,22 +111,29 @@ def strictly_subsumes(
     return cov_b & cov_a == cov_b and cov_a != cov_b
 
 
-def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...], int]]:
-    """Subset-minimal weak AXps with their coverage masks, smallest
-    first and lexicographic within a size."""
-    n = cs.space.n
+def _check_cap(n: int) -> None:
     if n > SUBSET_CAP:
         raise CapacityError(
             f"{n} features exceed the subset-enumeration cap {SUBSET_CAP}"
         )
-    # difference sets of the other-label instances, feature i at bit i * w
+
+
+def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
+    """One decision's subset-minimal weak AXps, smallest first and
+    lexicographic within a size: Berge's algorithm on the difference
+    sets."""
+    n = cs.space.n
+    _check_cap(n)
+    # difference sets of the other-label instances, feature i's field at
+    # bits [i * w, (i + 1) * w) and marked at its top bit
     w, codes = cs.packed_codes()
-    singles = [1 << (i * w) for i in range(n)]
+    singles = [1 << (i * w + w - 1) for i in range(n)]
     at = codes[cs.position(d.instance)]
     diffs = {c ^ at for c, lab in zip(codes, cs.labels(d.classifier)) if lab != d.label}
-    if w > 1:  # fold each feature's field onto its lowest bit
-        low = sum(singles)
-        diffs = {low & reduce(or_, [z >> b for b in range(w)]) for z in diffs}
+    if w > 1:  # adding all ones below each guard bit sets it when the field differs
+        guards = sum(singles)
+        carry = guards - (guards >> w - 1)
+        diffs = {(z + carry) & guards for z in diffs}
     minimal: list[int] = []
     for s in sorted(diffs, key=int.bit_count):
         if all(m & ~s for m in minimal):
@@ -119,11 +150,14 @@ def _axp_masks(cs: ConstrainedSpace, d: Decision) -> list[tuple[tuple[int, ...],
             for e in singles
             if e & s and all(h & ~(t | e) for h in hit)
         ]
-    axps = sorted(
+    return sorted(
         (tuple(i for i, e in enumerate(singles) if t & e) for t in hitting),
-        key=lambda feats: (len(feats), feats),
+        key=_order,
     )
-    return [(feats, cs.coverage_mask(d.instance, feats)) for feats in axps]
+
+
+def _order(feats: tuple[int, ...]) -> tuple:
+    return len(feats), feats
 
 
 def _explanation(
@@ -133,13 +167,12 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
-def reasons(
-    cs: ConstrainedSpace, d: Decision
+def explained(
+    cs: ConstrainedSpace, d: Decision, sets: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
-    """The decision's AXps, ordered by size then indices, and the AXps
-    not strictly subsumed by another AXp, in the same order; both from
-    one search."""
-    found = _axp_masks(cs, d)
+    """The decision's AXps and PI-explanations from its AXps' feature
+    sets, in the order given."""
+    found = [(f, cs.coverage_mask(d.instance, f)) for f in sets]
     axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
     pis = tuple(
         _explanation(cs, f, ExplanationKind.PI, cov)
@@ -147,6 +180,104 @@ def reasons(
         if not any(cov & other == cov and cov != other for _, other in found)
     )
     return axps, pis
+
+
+def reasons(
+    cs: ConstrainedSpace, d: Decision
+) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
+    """The decision's AXps, ordered by size then indices, and the AXps
+    not strictly subsumed by another AXp, in the same order; both from
+    one Berge search."""
+    return explained(cs, d, _berge_axps(cs, d))
+
+
+class DecisionReasons:
+    """Every decision from position start on, in canonical order, with
+    its AXps and PI-explanations as ``reasons`` gives them.
+
+    A decision costs Berge one step per instance of F[C] labelled
+    otherwise. Berge searches the decisions as they are read while the
+    steps so far stay within the lattice's work count over
+    BERGE_STEP_WORDS; the decision that would pass it and every later
+    one get their AXps from one lattice walk.
+    """
+
+    def __init__(self, cs: ConstrainedSpace, k: Classifier, start: int = 0):
+        self._cs, self._position = cs, start
+        self._decisions = map(
+            Decision, repeat(k), cs.instances[start:], cs.labels(k)[start:]
+        )
+        n = cs.space.n
+        self._budget = (n << n) * -(-cs.size // 64) // BERGE_STEP_WORDS
+        self._others = {c: len(cs) - m.bit_count() for c, m in cs.label_masks(k).items()}
+        self._found: Iterator[tuple[Decision, tuple[tuple[int, ...], ...]]] | None = None
+
+    def __iter__(self) -> DecisionReasons:
+        return self
+
+    def __next__(self) -> tuple[Decision, tuple[Explanation, ...], tuple[Explanation, ...]]:
+        if self._found is None:
+            d = next(self._decisions)
+            self._budget -= self._others[d.label]
+            if self._budget >= 0:
+                self._position += 1
+                return (d, *reasons(self._cs, d))
+            later = _lattice_axps(self._cs, d.classifier, self._position)
+            self._found = zip(chain((d,), self._decisions), later, strict=True)
+        d, sets = next(self._found)
+        return (d, *explained(self._cs, d, sets))
+
+    def rest(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Ends the walk: per decision not read yet, the AXps the lattice
+        has already found for it; empty while Berge searches them."""
+        if self._found is None:
+            return ()
+        return tuple(sets for _, sets in self._found)
+
+
+def _lattice_axps(
+    cs: ConstrainedSpace, k: Classifier, start: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Per decision from position start on, its AXps ordered by size then
+    indices, all from one depth-first walk over the feature sets.
+
+    With L_c the decisions labelled c, Q_c the F[C] ranks labelled
+    otherwise and P_c(S) its projection with the features off S
+    forgotten, S is a weak AXp at exactly the decisions
+    W_S = OR_c (L_c & ~P_c(S)), and an AXp at those of W_S outside every
+    W_{S - j}. A child removes one feature
+    below every feature its parent removed, so each set is visited once;
+    W shrinks with S, so a set with W_S = 0 ends its branch."""
+    n = cs.space.n
+    _check_cap(n)
+    low = cs.rank(cs.instances[start])
+    targets = cs.sel >> low << low
+    by_label = [(m & targets, cs.sel ^ m) for m in cs.label_masks(k).values()]
+    tops = [t for t, _ in by_label if t]
+    stack = [((1 << n) - 1, n, targets, [q for t, q in by_label if t])]
+    found: dict[int, list[tuple[int, ...]]] = {}  # per decision's rank
+    while stack:
+        s, bound, axp, proj = stack.pop()
+        for j in range(n):
+            if not s >> j & 1:
+                continue
+            if j >= bound and not axp:
+                break  # no child left, and every decision is settled
+            child = [cs.exists(p, (j,)) for p in proj]
+            w = 0
+            for t, p in zip(tops, child):
+                w |= t & ~p
+            axp &= ~w
+            if w and j < bound:
+                stack.append((s ^ 1 << j, j, w, child))
+        if axp:
+            feats = tuple(i for i in range(n) if s >> i & 1)
+        while axp:
+            lowest = axp & -axp
+            found.setdefault(lowest.bit_length() - 1, []).append(feats)
+            axp ^= lowest
+    # every decision has an AXp, the full set being weak
+    return [tuple(sorted(found[r], key=_order)) for r in sorted(found)]
 
 
 def all_axps(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:

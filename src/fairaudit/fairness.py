@@ -18,13 +18,13 @@ check vacuously true; callers can surface space_warnings().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 from math import prod
 from typing import Iterable
 
-from . import satcheck
+from . import explain, satcheck
 from .classifier import Classifier, TableClassifier
 from .errors import DocumentError, FtuViolationError, ModelSemanticError
 from .explain import Decision, Explanation, all_axps, make_decision, reasons
@@ -69,6 +69,11 @@ class ClassifierVerdict:
     disentangled_failure: Decision | None
     scope_profile: ScopeProfile
     decisions: tuple[DecisionVerdict, ...]  # examined in order, F[C]'s prefix
+    # per decision after those, the AXp feature sets the lattice already
+    # found for it; empty when the walk read every decision or Berge ran
+    later_axps: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,12 @@ class CausalGraph:
 
 def decision_verdict(cs: ConstrainedSpace, d: Decision) -> DecisionVerdict:
     """Everything known about one decision, from one AXp search."""
-    axps, pis = reasons(cs, d)
+    return _verdict(d, *reasons(cs, d))
+
+
+def _verdict(
+    d: Decision, axps: tuple[Explanation, ...], pis: tuple[Explanation, ...]
+) -> DecisionVerdict:
     fair_pi = next((p for p in pis if p.fair), None)
     unfair_pi = next((p for p in pis if not p.fair), None)
     if unfair_pi is None:
@@ -113,11 +123,18 @@ def decision_verdicts(
     cs: ConstrainedSpace, k: Classifier, walked: ClassifierVerdict
 ) -> tuple[DecisionVerdict, ...]:
     """Every decision's verdict in canonical order: those classifier_verdict
-    examined, then the ones past its early exit."""
-    rest = cs.instances[len(walked.decisions):]
-    return walked.decisions + tuple(
-        decision_verdict(cs, make_decision(cs, k, x)) for x in rest
-    )
+    examined, then the rest, explained from the AXps its lattice walk
+    already found or else searched now."""
+    start = len(walked.decisions)
+    if walked.later_axps:  # the lattice found every later decision's AXps
+        later = map(Decision, repeat(k), cs.instances[start:], cs.labels(k)[start:])
+        rest = (
+            (d, *explain.explained(cs, d, sets))
+            for d, sets in zip(later, walked.later_axps, strict=True)
+        )
+    else:
+        rest = explain.DecisionReasons(cs, k, start)
+    return walked.decisions + tuple(_verdict(*r) for r in rest)
 
 
 def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -213,16 +230,21 @@ def check_loose_at(cs: ConstrainedSpace, x: Instance) -> bool:
 
 def loose_violators(cs: ConstrainedSpace) -> dict[int, int]:
     """Per protected p, ascending, the ranks x in F[C] whose unprotected
-    cube has only p = x_p, a value some other unprotected cube has too."""
+    cube has only p = x_p, a value some other unprotected cube has too.
+    Classifier-independent, so computed once per space."""
     protected = cs.space.protected
-    return {
-        p: sum(  # disjoint across p's values
-            cs.sel & m & ~cs.exists(cs.sel & ~m, protected)
-            for m in cs.rank_masks[p].values()
-            if _projection_count(cs, cs.sel & m, protected) >= 2
-        )
-        for p in sorted(protected)
-    }
+
+    def make() -> dict[int, int]:
+        return {
+            p: sum(  # disjoint across p's values
+                cs.sel & m & ~cs.exists(cs.sel & ~m, protected)
+                for m in cs.rank_masks[p].values()
+                if _projection_count(cs, cs.sel & m, protected) >= 2
+            )
+            for p in sorted(protected)
+        }
+
+    return cs.memo(loose_violators, make)
 
 
 def decision_disentangled(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -250,9 +272,9 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
 def check_disentangled(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, Decision | None]:
-    for x in cs.instances:
-        if not decision_disentangled(cs, k, x):
-            return False, make_decision(cs, k, x)
+    for d, axps, _ in explain.DecisionReasons(cs, k):
+        if not _disentangled(cs, d, axps):
+            return False, d
     return True, None
 
 
@@ -273,12 +295,17 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
     walk stops at the first unfair decision, which is not disentangled
     either: a fair AXp inside the unprotected set is subsumed, at the
     end of a chain of PIs, by an unfair one covering strictly more.
+    When FTU fails the walk stops at the FTU witness x at the latest:
+    every fair set's cube at x contains x's FTU partner, so x has no
+    fair AXp.
     """
     ftu, ftu_pair = check_ftu(cs, k, "exhaustive")
+    walk = explain.DecisionReasons(cs, k)
     decisions: list[DecisionVerdict] = []
-    for x in cs.instances:
-        decisions.append(decision_verdict(cs, make_decision(cs, k, x)))
-        if decisions[-1].status is DecisionStatus.UNFAIR:
+    for r in walk:
+        v = _verdict(*r)
+        decisions.append(v)
+        if v.status is DecisionStatus.UNFAIR:
             break
     unfair = next((v for v in decisions if v.status is DecisionStatus.UNFAIR), None)
     partly = next((v for v in decisions if v.unfair_pi is not None), None)
@@ -300,6 +327,7 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
         disentangled_failure=tangled.decision if tangled else None,
         scope_profile=constraint_scope_profile(cs.space, cs.constraints),
         decisions=tuple(decisions),
+        later_axps=walk.rest(),
     )
     _assert_verdict_chain(out)
     return out

@@ -17,9 +17,11 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 from itertools import compress, product
 from math import prod
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value, parse_expr
@@ -220,7 +222,8 @@ class ConstrainedSpace:
     ranks that satisfy the constraints. Every mask taken from the space
     lies inside ``sel``, so popcounts count constrained instances and the
     lowest set rank is the least instance in canonical order. Positions
-    index ``instances``, ``labels(k)`` and ``packed_codes()``.
+    index ``instances``, ``labels(k)`` and ``packed_codes()``. Derived
+    values are made on first use and kept in one cache, ``memo``.
     """
 
     def __init__(
@@ -238,11 +241,15 @@ class ConstrainedSpace:
         self._domains = [f.domain for f in space.features]
         # ranks between consecutive values of feature i
         self._strides = [prod(map(len, self._domains[i + 1:])) for i in range(space.n)]
+        # per feature, the ranks where it has its first value, and the
+        # offsets of the other values' ranks from those
+        self._spread = [
+            (next(iter(masks.values())), range(s, len(masks) * s, s))
+            for masks, s in zip(rank_masks, self._strides)
+        ]
         self.instances = self.instances_of_mask(sel)
         self._position = {x: i for i, x in enumerate(self.instances)}
-        self._label_cache: dict[object, tuple[int, ...]] = {}
-        self._label_masks: dict[tuple, int] = {}
-        self._codes: tuple[int, list[int]] | None = None
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -281,45 +288,70 @@ class ConstrainedSpace:
         """Forget the features: every rank agreeing off ``features`` with
         some rank of the mask. The result may leave ``sel``."""
         for j in features:
-            shifts = [t * self._strides[j] for t in range(len(self._domains[j]))]
-            base = 0  # the projection, on the ranks where feature j has index 0
-            for m, shift in zip(self.rank_masks[j].values(), shifts):
-                base |= (mask & m) >> shift
-            mask = sum(base << shift for shift in shifts)  # disjoint: sum is OR
+            first, shifts = self._spread[j]
+            # the projection on the first value's ranks: a shift right by a
+            # value's offset moves every other value off them
+            base = mask
+            for shift in shifts:
+                base |= mask >> shift
+            mask = base = base & first
+            for shift in shifts:
+                mask |= base << shift
         return mask
+
+    def memo(self, key, make):
+        """The value cached under key, made by make() on first use.
+
+        Every cache of the space lives here, keyed by what it depends on:
+        the space alone or a classifier used on it. A fill stores the same
+        value whichever thread makes it, so the space can be shared."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
 
     def packed_codes(self) -> tuple[int, list[int]]:
         """(w, codes): each instance's code holds feature i's domain index
-        in bits [i * w, (i + 1) * w)."""
-        if self._codes is None:
-            w = max(len(f.domain) - 1 for f in self.space.features).bit_length() or 1
+        in bits [i * w, (i + 1) * w). Fields wider than one bit get a
+        guard bit on top, always 0, that a carry can set."""
+
+        def make() -> tuple[int, list[int]]:
+            w = max(len(d) - 1 for d in self._domains).bit_length()
+            w += w > 1
             shifted = [
-                {v: j << (i * w) for j, v in enumerate(f.domain)}
-                for i, f in enumerate(self.space.features)
+                {v: j << (i * w) for j, v in enumerate(d)}
+                for i, d in enumerate(self._domains)
             ]
-            self._codes = w, [sum(map(dict.get, shifted, x)) for x in self.instances]
-        return self._codes
+            return w, [sum(map(dict.get, shifted, x)) for x in self.instances]
+
+        return self.memo("packed_codes", make)
 
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
         flags = bit_flags(mask & self.sel, self.size)  # F[C]'s ranks only
         return tuple(compress(product(*self._domains), flags))
 
-    def labels(self, classifier) -> tuple[int, ...]:
-        got = self._label_cache.get(classifier)
-        if got is None:
-            ranked = classifier.rank_labels(self.rank_masks, self.size)
-            got = tuple(compress(ranked, bit_flags(self.sel, self.size)))
-            self._label_cache[classifier] = got
-        return got
+    def label_masks(self, classifier) -> dict[int, int]:
+        """Per label in ascending order, the ranks of F[C] the classifier
+        gives it, from the classifier's bit-parallel evaluation; labels
+        that no constrained instance gets are left out."""
+
+        def make() -> dict[int, int]:
+            by_label = classifier.label_masks(self.rank_masks, self.size)
+            return {c: m & self.sel for c, m in sorted(by_label.items()) if m & self.sel}
+
+        return self.memo(("label_masks", classifier), make)
 
     def label_mask(self, classifier, label: int) -> int:
-        key = (classifier, label)
-        mask = self._label_masks.get(key)
-        if mask is None:
-            ranked = classifier.rank_labels(self.rank_masks, self.size)
-            mask = pack_bits(map(label.__eq__, ranked)) & self.sel
-            self._label_masks[key] = mask
-        return mask
+        return self.label_masks(classifier).get(label, 0)
+
+    def labels(self, classifier) -> tuple[int, ...]:
+        """Each constrained instance's label, read off the label masks."""
+
+        def make() -> tuple[int, ...]:
+            keep = bit_flags(self.sel, self.size)
+            return tuple(flat_labels(self.label_masks(classifier), self.size, keep))
+
+        return self.memo(("labels", classifier), make)
 
 
 _FLAG = bytes.maketrans(b"01", b"\0\1")
@@ -334,6 +366,22 @@ def bit_flags(mask: int, size: int) -> bytes:
 def pack_bits(flags: Iterable[int]) -> int:
     """The mask whose bit i is flag i; flags are 0/1 or booleans."""
     return int(bytes(flags).translate(_DIGIT)[::-1] or b"0", 2)
+
+
+def flat_labels(
+    by_label: Mapping[int, int], size: int, keep: bytes | None = None
+) -> Sequence[int]:
+    """The labels in rank order of disjoint per-label masks below
+    2 ** size, 0 at a rank that no mask holds; with ``keep``, the
+    bit_flags of a mask, only at the kept ranks."""
+    rows = []
+    for c, m in by_label.items():
+        if c:
+            flags = bit_flags(m, size)
+            rows.append(map(c.__mul__, flags if keep is None else compress(flags, keep)))
+    if not rows:
+        return bytes(size if keep is None else keep.count(1))
+    return tuple(reduce(partial(map, add), rows))
 
 
 def rank_masks(domains: Sequence[Sequence[Value]]) -> list[dict[Value, int]]:

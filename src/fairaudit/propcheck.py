@@ -14,7 +14,9 @@ implication structure exercised here:
   * constrained FTU holds exactly when an FTU completion to the full
     space exists;
   * looseness plus FTU forces a fair reason, pointwise and globally,
-    as does disentangledness.
+    as does disentangledness;
+  * both AXp engines, the forgetting lattice and Berge's algorithm,
+    find the same reasons for every decision.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from __future__ import annotations
 import random
 
 from .errors import FtuViolationError
-from .explain import all_axps, make_decision, one_axp, pi_explanations, reasons
+from .explain import (
+    _berge_axps,
+    _lattice_axps,
+    all_axps,
+    make_decision,
+    one_axp,
+    pi_explanations,
+    reasons,
+)
 from .fairness import (
     build_completion,
     check_ftu,
@@ -75,6 +85,7 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
     out += _check_loose_links(cs, k, verdict, flags_cs)
     out += _check_engines(cs, k, verdict.ftu)
     out += _check_one_axp(cs, k, rng)
+    out += _check_lattice(cs, k, rng)
     out += _check_unconstrained_pi(full, k, rng)
 
     if profile is not ScopeProfile.CROSSING:
@@ -167,6 +178,22 @@ def _check_one_axp(cs, k, rng: random.Random) -> list[str]:
     members = {frozenset(e.features) for e in all_axps(cs, d)}
     if frozenset(got.features) not in members:
         return [f"greedy reason {got.features} at {x} is not subset-minimal"]
+    return []
+
+
+def _check_lattice(cs, k, rng: random.Random) -> list[str]:
+    """The forgetting lattice finds the AXps Berge finds, decision by
+    decision, from a random start on."""
+    if not len(cs):
+        return []
+    start = rng.randrange(len(cs))
+    later = cs.instances[start:]
+    found = _lattice_axps(cs, k, start)
+    if len(found) != len(later):
+        return [f"the lattice found AXps for {len(found)} of {len(later)} decisions"]
+    for x, sets in zip(later, found):
+        if list(sets) != _berge_axps(cs, make_decision(cs, k, x)):
+            return [f"lattice and Berge AXps differ at {x}"]
     return []
 
 

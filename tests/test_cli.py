@@ -165,29 +165,44 @@ class TestAudit:
 
 
 class TestOneAxpSearchPerDecision:
+    """No decision's AXps are found twice in one command, whichever engine
+    finds them: a Berge search covers one decision, a lattice run every
+    decision from its start on, and the lattice runs at most once."""
+
     @pytest.fixture
     def searched(self, monkeypatch):
-        """Instances at which an AXp search ran, in order."""
-        seen = []
-        search_axps = explain._axp_masks
+        """Decisions whose AXps an engine found, in order, and the runs of
+        each engine."""
+        log = {"found": [], "berge": 0, "lattice": 0}
+        berge, lattice = explain._berge_axps, explain._lattice_axps
 
-        def counted(cs, d):
-            seen.append(d.instance)
-            return search_axps(cs, d)
+        def counted_berge(cs, d):
+            log["found"].append(d.instance)
+            log["berge"] += 1
+            return berge(cs, d)
 
-        monkeypatch.setattr(explain, "_axp_masks", counted)
-        return seen
+        def counted_lattice(cs, k, start):
+            log["found"] += cs.instances[start:]
+            log["lattice"] += 1
+            return lattice(cs, k, start)
+
+        monkeypatch.setattr(explain, "_berge_axps", counted_berge)
+        monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
+        return log
 
     @pytest.mark.parametrize("name", ["adopt2", "bonus_goals", "training_course"])
     def test_audit_of_a_fair_model(self, capsys, load_model, searched, name):
         code, _ = run_json(capsys, "audit", fixture(name), "--notion", "universal")
         assert code == 0
-        assert searched == list(load_model(name).constrained().instances)
+        assert searched["found"] == list(load_model(name).constrained().instances)
+        # small dense spaces: the lattice's count is soon passed
+        assert searched["lattice"] == 1
 
     def test_explain(self, capsys, searched):
         _, report = run_json(capsys, "explain", fixture("spouses"), "--instance", "1,1")
         assert report["axps"] and report["pi_explanations"]
-        assert searched == [(True, True)]
+        assert searched["found"] == [(True, True)]
+        assert (searched["lattice"], searched["berge"]) == (0, 1)
 
     @pytest.mark.parametrize(
         "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
@@ -195,7 +210,8 @@ class TestOneAxpSearchPerDecision:
     def test_audit_per_decision(self, capsys, load_model, searched, name):
         # fair, universally unfair, and unfair with an early exit
         run_json(capsys, "audit", fixture(name), "--per-decision")
-        assert searched == list(load_model(name).constrained().instances)
+        assert searched["found"] == list(load_model(name).constrained().instances)
+        assert searched["lattice"] <= 1
 
 
 class TestExplain:

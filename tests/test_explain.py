@@ -13,6 +13,7 @@ from fairaudit import (
     Feature,
     FeatureSpace,
     ModelSemanticError,
+    TableClassifier,
     all_axps,
     coverage,
     enumerate_space,
@@ -25,8 +26,9 @@ from fairaudit import (
     subsumes,
     unconstrained,
 )
-from fairaudit.explain import SUBSET_CAP, ExplanationKind
-from fairaudit.randmodels import random_model
+from fairaudit import explain
+from fairaudit.explain import SUBSET_CAP, DecisionReasons, ExplanationKind
+from fairaudit.randmodels import random_constraints, random_model, random_space
 
 
 def feature_sets(explanations):
@@ -355,3 +357,115 @@ class TestOneAxp:
                 rest = set(got.features) - {i}
                 assert not is_weak_axp(cs, d, rest)
             assert frozenset(got.features) in feature_sets(all_axps(cs, d))
+
+
+def both_engines(cs, k, start=0):
+    """Each decision's AXp feature sets from position start on, from one
+    lattice walk and from one Berge search per decision."""
+    if start >= len(cs):
+        return [], []
+    lattice = [list(sets) for sets in explain._lattice_axps(cs, k, start)]
+    berge = [explain._berge_axps(cs, make_decision(cs, k, x)) for x in cs.instances[start:]]
+    return lattice, berge
+
+
+class TestLatticeAgainstBerge:
+    """The forgetting lattice finds, decision by decision, the AXps and
+    PI-explanations that the per-decision Berge search finds."""
+
+    def test_seeded_random_models(self):
+        rng = random.Random(808)
+        decisions = 0
+        for _ in range(150):
+            rm = random_model(rng, max_features=6, max_domain=5)
+            spaces = (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space))
+            for cs in spaces:
+                start = rng.randrange(len(cs)) if len(cs) else 0
+                lattice, berge = both_engines(cs, rm.classifier, start)
+                assert lattice == berge
+                decisions += len(berge)
+        assert decisions >= 5000
+
+    def test_tables_with_two_to_five_classes(self):
+        rng = random.Random(809)
+        for _ in range(80):
+            space = random_space(rng, max_features=5, max_domain=5)
+            cs = enumerate_space(space, random_constraints(rng, space))
+            classes = rng.randint(2, 5)
+            domains = tuple(f.domain for f in space.features)
+            # labels read a few features, so reasons are small and varied
+            reads = rng.sample(range(space.n), min(space.n, 3))
+            by_read: dict = {}
+            labels = tuple(
+                by_read.setdefault(tuple(x[i] for i in reads), rng.randrange(classes))
+                for x in itertools.product(*domains)
+            )
+            k = TableClassifier(domains, labels, classes)
+            lattice, berge = both_engines(cs, k)
+            assert lattice == berge
+
+    def test_constant_classifier_and_empty_space(self, load_model):
+        loaded = load_model("bonus_goals")
+        constant = ExpressionClassifier(parse_expr("true", loaded.space))
+        lattice, berge = both_engines(loaded.full(), constant)
+        assert lattice == berge == [[()]] * 8
+        empty = load_model("empty-space")
+        assert list(DecisionReasons(empty.constrained(), empty.classifier)) == []
+
+    def test_every_fixture(self, fixtures_dir, load_model):
+        paths = sorted(fixtures_dir.glob("*.json"))
+        assert len(paths) == 18
+        for path in paths:
+            loaded = load_model(path.stem)
+            for cs in (loaded.constrained(), loaded.full()):
+                lattice, berge = both_engines(cs, loaded.classifier)
+                assert lattice == berge, path.name
+
+
+class TestDecisionReasons:
+    """The walk gives every decision what reasons gives it, on either side
+    of its switch from Berge to the lattice."""
+
+    def test_switches_to_the_lattice_mid_walk(self, monkeypatch):
+        space = FeatureSpace(
+            [Feature(i, f"f{i}", (False, True), i % 4 == 0) for i in range(10)]
+        )
+        k = ExpressionClassifier(parse_expr("(or (and f1 f2) (and f3 (not f5)) f7)", space))
+        cs = unconstrained(space)
+        decisions = [make_decision(cs, k, x) for x in cs.instances]
+        want = [(d, *explain.reasons(cs, d)) for d in decisions]
+        runs = {"berge": 0, "lattice": 0}
+        berge, lattice = explain._berge_axps, explain._lattice_axps
+
+        def counted_berge(cs, d):
+            runs["berge"] += 1
+            return berge(cs, d)
+
+        def counted_lattice(cs, k, start):
+            runs["lattice"] += 1
+            assert start == runs["berge"]
+            return lattice(cs, k, start)
+
+        monkeypatch.setattr(explain, "_berge_axps", counted_berge)
+        monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
+        assert list(DecisionReasons(cs, k)) == want
+        assert 0 < runs["berge"] < len(cs) and runs["lattice"] == 1
+
+    def test_seeded_random_models_from_a_random_start(self):
+        rng = random.Random(810)
+        for _ in range(100):
+            rm = random_model(rng, max_features=6, max_domain=5)
+            for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
+                start = rng.randrange(len(cs) + 1)
+                k = rm.classifier
+                want = [
+                    (d, *explain.reasons(cs, d))
+                    for d in (make_decision(cs, k, x) for x in cs.instances[start:])
+                ]
+                walk = DecisionReasons(cs, k, start)
+                read = rng.randrange(len(want) + 1)
+                assert [next(walk) for _ in range(read)] == want[:read]
+                assert [list(sets) for sets in walk.rest()] in (
+                    [],
+                    [[e.features for e in axps] for _, axps, _ in want[read:]],
+                )

@@ -7,8 +7,10 @@ import pytest
 
 from fairaudit import (
     CausalGraph,
+    Constraint,
     DecisionStatus,
     DocumentError,
+    ExpressionClassifier,
     Feature,
     FeatureSpace,
     FtuViolationError,
@@ -34,7 +36,8 @@ from fairaudit.fairness import (
     parse_causal_graph,
     space_warnings,
 )
-from fairaudit.model import ConstraintSet
+from fairaudit import explain
+from fairaudit.model import ConstrainedSpace, ConstraintSet
 from fairaudit.randmodels import random_constraints, random_model, random_space
 
 B = (False, True)
@@ -230,6 +233,124 @@ class TestOneWalk:
         assert early_exits >= 100 and violated >= 150
 
 
+def engine_runs(monkeypatch) -> dict:
+    """How often each AXp engine runs: Berge once per decision, the
+    lattice once for every decision from its start on."""
+    runs = {"berge": 0, "lattice": 0}
+    berge, lattice = explain._berge_axps, explain._lattice_axps
+
+    def counted_berge(cs, d):
+        runs["berge"] += 1
+        return berge(cs, d)
+
+    def counted_lattice(cs, k, start):
+        runs["lattice"] += 1
+        return lattice(cs, k, start)
+
+    monkeypatch.setattr(explain, "_berge_axps", counted_berge)
+    monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
+    return runs
+
+
+def boolean_space(n: int) -> FeatureSpace:
+    """n boolean features f0.., every fourth protected."""
+    return FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(n)])
+
+
+class TestEngineChoice:
+    """A walk searches decisions with Berge while its steps, one per
+    instance of F[C] labelled otherwise, stay within the lattice's work
+    count over BERGE_STEP_WORDS, and hands the rest to one lattice run."""
+
+    def test_dense_fair_model_takes_the_lattice(self, monkeypatch):
+        space = boolean_space(10)
+        k = ExpressionClassifier(
+            parse_expr("(or (and f1 f2) (and f3 (not f5)) (and f6 f7 f9))", space)
+        )
+        cs = unconstrained(space)
+        runs = engine_runs(monkeypatch)
+        v = classifier_verdict(cs, k)
+        assert v.universal and len(v.decisions) == len(cs) == 1024
+        assert runs["lattice"] == 1 and runs["berge"] < len(cs) // 8
+
+    def test_one_hot_model_takes_berge(self, monkeypatch):
+        space = boolean_space(16)
+        texts = []
+        for g in range(0, 16, 4):
+            texts.append("(or " + " ".join(f"f{i}" for i in range(g, g + 4)) + ")")
+            texts += [
+                f"(not (and f{i} f{j}))"
+                for i, j in itertools.combinations(range(g, g + 4), 2)
+            ]
+        constraints = ConstraintSet(
+            tuple(Constraint(parse_expr(t, space)) for t in texts)
+        )
+        k = ExpressionClassifier(parse_expr("(or (and f1 f5) f10 (and f6 f15))", space))
+        cs = enumerate_space(space, constraints)
+        assert len(cs) == 256
+        runs = engine_runs(monkeypatch)
+        v = classifier_verdict(cs, k)
+        assert v.existential  # no early exit: every decision is read
+        assert runs == {"berge": len(cs), "lattice": 0}
+
+    def test_early_exit_takes_berge(self, monkeypatch):
+        # dense, FTU fails, and the walk reads no decision past the witness
+        space = boolean_space(10)
+        k = ExpressionClassifier(parse_expr("(or (and f0 f9) (and f2 f3))", space))
+        cs = unconstrained(space)
+        holds, (x, _) = check_ftu(cs, k)
+        assert not holds
+        runs = engine_runs(monkeypatch)
+        v = classifier_verdict(cs, k)
+        assert not v.existential and len(v.decisions) <= cs.position(x) + 1
+        assert runs == {"berge": len(v.decisions), "lattice": 0}
+        assert v.later_axps == ()
+
+    def test_berge_spends_at_most_the_lattice_count_over_the_ratio(self, monkeypatch):
+        rng = random.Random(811)
+        runs = engine_runs(monkeypatch)
+        switched = 0
+        for _ in range(150):
+            rm = random_model(rng, max_features=6, max_domain=4)
+            cs = enumerate_space(rm.space, rm.constraints)
+            k = rm.classifier
+            runs.update(berge=0, lattice=0)
+            v = classifier_verdict(cs, k)
+            n = cs.space.n
+            budget = (n << n) * -(-cs.size // 64) // explain.BERGE_STEP_WORDS
+            others = [len(cs) - cs.label_mask(k, c).bit_count() for c in cs.labels(k)]
+            assert sum(others[: runs["berge"]]) <= budget
+            if runs["lattice"]:
+                assert sum(others[: runs["berge"] + 1]) > budget
+                assert len(v.decisions) + len(v.later_axps) == len(cs)
+                switched += 1
+            else:
+                assert runs["berge"] == len(v.decisions) and v.later_axps == ()
+        assert 20 <= switched <= 130
+
+
+class TestFtuWitnessBound:
+    def test_the_walk_stops_at_the_ftu_witness_at_the_latest(self):
+        rng = random.Random(325)
+        failing = 0
+        for _ in range(300):
+            rm = random_model(rng, max_features=6, max_domain=4)
+            cs = enumerate_space(rm.space, rm.constraints)
+            holds, pair = check_ftu(cs, rm.classifier)
+            if holds:
+                continue
+            failing += 1
+            x = pair[0]
+            v = decision_verdict(cs, make_decision(cs, rm.classifier, x))
+            assert v.fair_pi is None and v.status is DecisionStatus.UNFAIR
+            assert not decision_disentangled(cs, rm.classifier, x)
+            walked = classifier_verdict(cs, rm.classifier)
+            assert len(walked.decisions) <= cs.position(x) + 1
+            tangled = check_disentangled(cs, rm.classifier)[1]
+            assert cs.position(tangled.instance) <= cs.position(x)
+        assert failing >= 60
+
+
 class TestCompletion:
     def test_xor_link_completion_copies_the_linked_value(self, load_model):
         loaded = load_model("xor_link")
@@ -292,6 +413,27 @@ class TestCompletion:
 
 
 class TestLoose:
+    def test_check_loose_at_projects_once_per_space(self, load_model, monkeypatch):
+        loaded = load_model("work_from_home")
+        cs = loaded.constrained()
+        calls = []
+        project = ConstrainedSpace.exists
+
+        def counted(space, mask, features):
+            calls.append(space)
+            return project(space, mask, features)
+
+        monkeypatch.setattr(ConstrainedSpace, "exists", counted)
+        answers = [check_loose_at(cs, x) for x in cs.instances]
+        once = len(calls)
+        assert once and set(calls) == {cs}
+        assert answers == [check_loose_at(cs, x) for x in cs.instances]
+        assert len(calls) == once
+        assert True in answers and False in answers
+        fresh = loaded.constrained()
+        check_loose_at(fresh, fresh.instances[0])
+        assert len(calls) == 2 * once
+
     def test_mirrored_constraints_are_loose(self, load_model):
         loaded = load_model("mirrored_features")
         holds, violation = check_loose(loaded.constrained())
