@@ -217,7 +217,8 @@ def _cmd_audit(args) -> int:
 
 
 def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
-    verdict = fairness.classifier_verdict(cs, k)
+    every = tuple(fairness.decision_verdicts(cs, k)) if args.per_decision else None
+    verdict = fairness.classifier_verdict(cs, k, every)
     if args.engine == "search":
         holds, pair = fairness.check_ftu(cs, k, "search")
         if holds != verdict.ftu:
@@ -266,11 +267,8 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
         "disentangled": verdict.disentangled,
     }
     report["witnesses"] = witnesses
-    if args.per_decision:
-        report["per_decision"] = [
-            _decision_json(space, dv)
-            for dv in fairness.decision_verdicts(cs, k, verdict)
-        ]
+    if every is not None:
+        report["per_decision"] = [_decision_json(space, dv) for dv in every]
     report["warnings"] = warnings
     lines = [
         f"model {args.model} (digest {digest[:12]})",
@@ -416,8 +414,11 @@ def _cmd_export_cnf(args) -> int:
     cs = model.enumerate_space(space, constraints)
     formula = satcheck.encode_ftu_counterexample(cs, k)
     text = satcheck.export_dimacs(formula)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.out}: {formula.variable_count} variables, "
           f"{len(formula.clauses)} clauses")
     for var, name in sorted(formula.comment_map.items()):

@@ -22,7 +22,7 @@ Two engines find the AXps, with the same answers:
     set's projections one ConstrainedSpace.exists from its parent's,
     costs about 2^n * n * ceil(|F| / 64) mask-word steps.
 
-A walk over many decisions (DecisionReasons) starts with Berge and
+A walk over every decision (decision_reasons) starts with Berge and
 counts its steps as it goes; once the next decision would take them
 past the lattice's count over BERGE_STEP_WORDS, one lattice walk finds
 the AXps of that decision and of every later one. Whether the caller
@@ -191,9 +191,11 @@ def reasons(
     return explained(cs, d, _berge_axps(cs, d))
 
 
-class DecisionReasons:
-    """Every decision from position start on, in canonical order, with
-    its AXps and PI-explanations as ``reasons`` gives them.
+def decision_reasons(
+    cs: ConstrainedSpace, k: Classifier
+) -> Iterator[tuple[Decision, tuple[Explanation, ...], tuple[Explanation, ...]]]:
+    """Every decision in canonical order, with its AXps and
+    PI-explanations as ``reasons`` gives them.
 
     A decision costs Berge one step per instance of F[C] labelled
     otherwise. Berge searches the decisions as they are read while the
@@ -201,38 +203,18 @@ class DecisionReasons:
     BERGE_STEP_WORDS; the decision that would pass it and every later
     one get their AXps from one lattice walk.
     """
-
-    def __init__(self, cs: ConstrainedSpace, k: Classifier, start: int = 0):
-        self._cs, self._position = cs, start
-        self._decisions = map(
-            Decision, repeat(k), cs.instances[start:], cs.labels(k)[start:]
-        )
-        n = cs.space.n
-        self._budget = (n << n) * -(-cs.size // 64) // BERGE_STEP_WORDS
-        self._others = {c: len(cs) - m.bit_count() for c, m in cs.label_masks(k).items()}
-        self._found: Iterator[tuple[Decision, tuple[tuple[int, ...], ...]]] | None = None
-
-    def __iter__(self) -> DecisionReasons:
-        return self
-
-    def __next__(self) -> tuple[Decision, tuple[Explanation, ...], tuple[Explanation, ...]]:
-        if self._found is None:
-            d = next(self._decisions)
-            self._budget -= self._others[d.label]
-            if self._budget >= 0:
-                self._position += 1
-                return (d, *reasons(self._cs, d))
-            later = _lattice_axps(self._cs, d.classifier, self._position)
-            self._found = zip(chain((d,), self._decisions), later, strict=True)
-        d, sets = next(self._found)
-        return (d, *explained(self._cs, d, sets))
-
-    def rest(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Ends the walk: per decision not read yet, the AXps the lattice
-        has already found for it; empty while Berge searches them."""
-        if self._found is None:
-            return ()
-        return tuple(sets for _, sets in self._found)
+    n = cs.space.n
+    budget = (n << n) * -(-cs.size // 64) // BERGE_STEP_WORDS
+    others = {c: len(cs) - m.bit_count() for c, m in cs.label_masks(k).items()}
+    decisions = map(Decision, repeat(k), cs.instances, cs.labels(k))
+    for position, d in enumerate(decisions):
+        budget -= others[d.label]
+        if budget < 0:
+            later = _lattice_axps(cs, k, position)
+            for d, sets in zip(chain((d,), decisions), later, strict=True):
+                yield (d, *explained(cs, d, sets))
+            return
+        yield (d, *reasons(cs, d))
 
 
 def _lattice_axps(

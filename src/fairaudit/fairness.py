@@ -18,11 +18,11 @@ check vacuously true; callers can surface space_warnings().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
 from math import prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import explain, satcheck
 from .classifier import Classifier, TableClassifier
@@ -69,11 +69,6 @@ class ClassifierVerdict:
     disentangled_failure: Decision | None
     scope_profile: ScopeProfile
     decisions: tuple[DecisionVerdict, ...]  # examined in order, F[C]'s prefix
-    # per decision after those, the AXp feature sets the lattice already
-    # found for it; empty when the walk read every decision or Berge ran
-    later_axps: tuple[tuple[tuple[int, ...], ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
 
 @dataclass(frozen=True)
@@ -119,22 +114,10 @@ def _verdict(
     return DecisionVerdict(d, status, fair_pi, unfair_pi, axps, pis)
 
 
-def decision_verdicts(
-    cs: ConstrainedSpace, k: Classifier, walked: ClassifierVerdict
-) -> tuple[DecisionVerdict, ...]:
-    """Every decision's verdict in canonical order: those classifier_verdict
-    examined, then the rest, explained from the AXps its lattice walk
-    already found or else searched now."""
-    start = len(walked.decisions)
-    if walked.later_axps:  # the lattice found every later decision's AXps
-        later = map(Decision, repeat(k), cs.instances[start:], cs.labels(k)[start:])
-        rest = (
-            (d, *explain.explained(cs, d, sets))
-            for d, sets in zip(later, walked.later_axps, strict=True)
-        )
-    else:
-        rest = explain.DecisionReasons(cs, k, start)
-    return walked.decisions + tuple(_verdict(*r) for r in rest)
+def decision_verdicts(cs: ConstrainedSpace, k: Classifier) -> Iterator[DecisionVerdict]:
+    """Every decision's verdict in canonical order, from one walk that
+    finds each decision's AXps once."""
+    return (_verdict(*r) for r in explain.decision_reasons(cs, k))
 
 
 def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -262,8 +245,9 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
     for e in axps:
+        cov_e = cs.coverage_mask(x, e.features)
         for p in cs.space.protected:
-            cov_q = cs.coverage_mask(x, e.features + (p,))
+            cov_q = cov_e & cs.rank_masks[p][x[p]]
             if cov_n & cov_q == cov_n and cov_n != cov_q:
                 return False
     return True
@@ -272,9 +256,9 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
 def check_disentangled(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, Decision | None]:
-    for d, axps, _ in explain.DecisionReasons(cs, k):
-        if not _disentangled(cs, d, axps):
-            return False, d
+    for v in decision_verdicts(cs, k):
+        if not _disentangled(cs, v.decision, v.axps):
+            return False, v.decision
     return True, None
 
 
@@ -288,8 +272,16 @@ def check_decomposable(cs: ConstrainedSpace) -> bool:
     return on_p * _projection_count(cs, cs.sel, cs.space.protected) == len(cs)
 
 
-def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict:
+def classifier_verdict(
+    cs: ConstrainedSpace,
+    k: Classifier,
+    verdicts: Iterable[DecisionVerdict] | None = None,
+) -> ClassifierVerdict:
     """Aggregate the per-decision verdicts plus the structural checks.
+
+    ``verdicts`` is decision_verdicts(cs, k), read here up to its first
+    unfair decision; a caller that reads every decision passes them in,
+    so that no decision's AXps are found twice.
 
     Failures carry the least failing instance in canonical order. The
     walk stops at the first unfair decision, which is not disentangled
@@ -300,10 +292,10 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
     fair AXp.
     """
     ftu, ftu_pair = check_ftu(cs, k, "exhaustive")
-    walk = explain.DecisionReasons(cs, k)
+    if verdicts is None:
+        verdicts = decision_verdicts(cs, k)
     decisions: list[DecisionVerdict] = []
-    for r in walk:
-        v = _verdict(*r)
+    for v in verdicts:
         decisions.append(v)
         if v.status is DecisionStatus.UNFAIR:
             break
@@ -327,7 +319,6 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
         disentangled_failure=tangled.decision if tangled else None,
         scope_profile=constraint_scope_profile(cs.space, cs.constraints),
         decisions=tuple(decisions),
-        later_axps=walk.rest(),
     )
     _assert_verdict_chain(out)
     return out

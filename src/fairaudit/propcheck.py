@@ -68,16 +68,17 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
     profile = constraint_scope_profile(rm.space, rm.constraints)
     out: list[str] = []
 
-    verdict = classifier_verdict(cs, k)  # raises on chain violations
+    # one walk over every decision; every per-decision check reads it
+    every = tuple(decision_verdicts(cs, k))
+    verdict = classifier_verdict(cs, k, every)  # raises on chain violations
     if verdict.universal and not verdict.existential:
         out.append("universal fairness without existential fairness")
     if verdict.existential and not verdict.ftu:
         out.append("existential fairness without constrained FTU")
 
-    # one sweep per space; every per-decision check reads these
     flags_cs = {
         dv.decision.instance: (dv.fair_pi is not None, dv.unfair_pi is not None)
-        for dv in decision_verdicts(cs, k, verdict)
+        for dv in every
     }
     flags_full = {x: _pi_fairness(full, k, x) for x in cs.instances}
 

@@ -127,7 +127,8 @@ class _Copy:
         if feature in self.bool_var:
             var = self.bool_var[feature]
             return var if value else -var
-        return self.onehot[feature][value]
+        lit = self.onehot[feature].get(value)  # None for a value off the domain
+        return self.builder.const(False) if lit is None else lit
 
     def encode(self, expr: BoolExpr) -> int:
         expr = boolexpr.simplify(expr)

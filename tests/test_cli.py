@@ -325,6 +325,36 @@ class TestExportCnf:
         assert tuple(onehot) in formula.clauses
         assert (-onehot[0], -onehot[1]) in formula.clauses
 
+    def test_boolean_feature_with_the_one_value_false(self, capsys, tmp_path):
+        # a one-value boolean is one-hot encoded; reading it as true needs
+        # the literal of a value off its domain
+        doc = tmp_path / "only_false.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": "a", "domain": [False], "protected": False},
+                        {"name": "b", "domain": [False, True], "protected": False},
+                        {"name": "s", "domain": [False, True], "protected": True},
+                    ],
+                    "constraints": [],
+                    "classifier": {"form": "expression", "expr": "(and a b)"},
+                }
+            )
+        )
+        searched = run(capsys, "audit", str(doc), "--engine", "search")
+        assert searched == run(capsys, "audit", str(doc), "--engine", "exhaustive")
+        assert searched[0] == 0 and searched[2] == ""
+        code, _, err = run(capsys, "export-cnf", str(doc), str(tmp_path / "q.cnf"))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("target", ["missing/q.cnf", "."])
+    def test_unwritable_output_is_a_user_error(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "export-cnf", fixture("spouses"), str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ")
+        assert "internal error" not in err
+
 
 class TestFtci:
     def test_maternity_leave_newly_protected(self, capsys):
@@ -434,7 +464,7 @@ class TestExitCodes:
         assert "internal error" not in err
 
     def test_internal_error_is_exit_2(self, capsys, monkeypatch):
-        def broken(cs, k):
+        def broken(cs, k, verdicts=None):
             raise AssertionError("universal fairness without existential fairness")
 
         monkeypatch.setattr(fairness, "classifier_verdict", broken)

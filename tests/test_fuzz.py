@@ -44,6 +44,7 @@ OPS = ("drop", "replace", "retype", "tweak", "tweak", "tweak")
 COMMANDS = (
     ("audit",),
     ("audit", "--notion", "universal", "--per-decision"),
+    ("audit", "--engine", "search"),
     ("check", "--what", "loose"),
     ("check", "--what", "disentangled"),
 )
