@@ -229,11 +229,10 @@ def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
     witnesses: dict = {}
     if verdict.ftu_counterexample is not None:
         x, y = verdict.ftu_counterexample
-        labels = cs.labels(k)
         witnesses["ftu"] = {
             "x": _instance_json(space, x),
             "y": _instance_json(space, y),
-            "labels": [labels[cs.position(x)], labels[cs.position(y)]],
+            "labels": [cs.label_at(k, x), cs.label_at(k, y)],
         }
     if verdict.existential_failure is not None:
         witnesses["existential"] = _decision_witness(space, verdict.existential_failure)

@@ -13,7 +13,16 @@ Two engines find the AXps, with the same answers:
     is a weak AXp exactly when it meets the difference set
     {i : y_i != x_i} of every constrained instance y labelled
     otherwise, so the AXps are the minimal hitting sets of the minimal
-    difference sets. Its work is one step per such y.
+    difference sets. Two producers give it those sets:
+      - the rank masks (_mask_differences): every value of a feature
+        other than x's moves onto one value, so a rank stands for a
+        difference set, and an upward closure strikes the non-minimal
+        ones; about (2n + the sizes of the domains with more than two
+        values) big-int operations of ceil(|F| / 64) words, and nothing
+        per instance;
+      - the packed codes (_code_differences): one XOR per instance y,
+        after a per-space set-up that packs a code for every instance
+        of F[C].
   * the forgetting lattice, every decision at once: S is a weak AXp at
     x exactly when x lies outside the projection of the instances
     labelled otherwise with the features off S forgotten (Lin & Reiter,
@@ -22,18 +31,21 @@ Two engines find the AXps, with the same answers:
     set's projections one ConstrainedSpace.exists from its parent's,
     costs about 2^n * n * ceil(|F| / 64) mask-word steps.
 
-A walk over every decision (decision_reasons) starts with Berge and
-counts its steps as it goes; once the next decision would take them
-past the lattice's count over BERGE_STEP_WORDS, one lattice walk finds
-the AXps of that decision and of every later one. Whether the caller
-reads every decision or stops early, the walk so pays a small multiple
-of what the better engine would have.
-One decision (reasons, and so the explain command) always takes Berge.
+One decision (reasons, and so the explain command) always takes Berge
+with the masks: it has no walk to spread the codes' set-up over, so F[C]
+is never enumerated. A walk over every decision (decision_reasons)
+gives each decision the producer whose count is smaller, charges that
+count, and once the next decision would take the charges past the
+lattice's count, one lattice walk finds the AXps of that decision and of
+every later one. Whether the caller reads every decision or stops
+early, the walk so pays a small multiple of what the better engine
+would have. The masks win on dense spaces; the codes only on sparse
+ones, where few instances are labelled otherwise and masks are long.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
@@ -44,12 +56,21 @@ from .model import ConstrainedSpace, Instance
 
 SUBSET_CAP = 20
 
-# a Berge step, one difference set, cost as much as 18 to 108 counted
-# 64-bit word steps of the lattice on dense boolean spaces of 11 to 14
-# features (more on one-hot ones, where the walk ends branches early).
-# Where it costs r, a walk pays at most 1 + max(r, R) / min(r, R) times
-# the better engine for this R, so 3.7 times over that range
+# what one XOR of packed codes costs, in 64-bit word steps of the
+# lattice and of the masks. Measured per decision on one host (Python
+# 3.11): 56 to 147 lattice words and 43 to 152 mask words on dense boolean
+# spaces of 11 to 14 features, 270 to 930 mask words on one-hot spaces of
+# 14 to 20. On dense spaces the masks' count is always the smaller, so
+# this value only picks the producer on sparse ones; there it favours the
+# codes, and a fair audit of the benchmark's onehot(1, 18) took 184 ms
+# with it against 204 to 229 ms with 128 to 400
 BERGE_STEP_WORDS = 48
+
+# how many bits of coverage masks a space keeps for cubes (explain.cube);
+# past it a cube's mask is rebuilt on each use, so that a walk over a
+# large sparse space, whose masks are long and whose cubes are many,
+# keeps its memory bounded
+CUBE_CACHE_BITS = 1 << 26
 
 
 class ExplanationKind(Enum):
@@ -80,7 +101,7 @@ def make_decision(cs: ConstrainedSpace, k: Classifier, x: Instance) -> Decision:
             f"instance {x!r} does not satisfy the constraints; "
             "no decision is defined there"
         )
-    return Decision(k, x, cs.labels(k)[cs.position(x)])
+    return Decision(k, x, cs.label_at(k, x))
 
 
 def is_weak_axp(cs: ConstrainedSpace, d: Decision, features: Iterable[int]) -> bool:
@@ -118,30 +139,21 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
+def _berge_axps(
+    cs: ConstrainedSpace, d: Decision, codes: tuple[int, list[int]] | None = None
+) -> list[tuple[int, ...]]:
     """One decision's subset-minimal weak AXps, smallest first and
-    lexicographic within a size: Berge's algorithm on the difference
-    sets."""
+    lexicographic within a size: Berge's algorithm on the minimal
+    difference sets, read off the rank masks, or off the packed codes
+    when the caller passes the space's _packed_codes."""
     n = cs.space.n
     _check_cap(n)
-    # difference sets of the other-label instances, feature i's field at
-    # bits [i * w, (i + 1) * w) and marked at its top bit
-    w, codes = cs.packed_codes()
-    singles = [1 << (i * w + w - 1) for i in range(n)]
-    at = codes[cs.position(d.instance)]
-    diffs = {c ^ at for c, lab in zip(codes, cs.labels(d.classifier)) if lab != d.label}
-    if w > 1:  # adding all ones below each guard bit sets it when the field differs
-        guards = sum(singles)
-        carry = guards - (guards >> w - 1)
-        diffs = {(z + carry) & guards for z in diffs}
-    minimal: list[int] = []
-    for s in sorted(diffs, key=int.bit_count):
-        if all(m & ~s for m in minimal):
-            minimal.append(s)
+    minimal = _code_differences(cs, d, codes) if codes else _mask_differences(cs, d)
+    singles = [1 << i for i in range(n)]
     # Berge: extend the minimal transversals so far to the next set; an
     # extension can only be a superset of one that already hits that set
     hitting = [0]
-    for s in minimal:
+    for s in sorted(minimal, key=int.bit_count):
         hit = [t for t in hitting if t & s]
         hitting = hit + [
             t | e
@@ -151,9 +163,95 @@ def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
             if e & s and all(h & ~(t | e) for h in hit)
         ]
     return sorted(
-        (tuple(i for i, e in enumerate(singles) if t & e) for t in hitting),
-        key=_order,
+        (tuple(i for i in range(n) if t >> i & 1) for t in hitting), key=_order
     )
+
+
+def _mask_differences(cs: ConstrainedSpace, d: Decision) -> list[int]:
+    """The decision's minimal difference sets, bit i for feature i, from
+    big-int operations on the ranks labelled otherwise.
+
+    Every value of feature i other than x_i moves onto one value b_i, so
+    each rank left stands for one difference set, its digits x_i or b_i.
+    Moving the ranks that hold x_i onto b_i, one feature after another,
+    yields every strict superset of such a set; the rest are minimal."""
+    x = d.instance
+    q = cs.sel & ~cs.label_mask(d.classifier, d.label)
+    digits = []  # per feature that can differ: index, stride, domain size, x_i's index
+    ups = []  # per such feature: the ranks with x_i, their shift onto b_i
+    for i, (f, s) in enumerate(zip(cs.space.features, cs.strides)):
+        dom, masks = f.domain, cs.rank_masks[i]
+        if len(dom) < 2:
+            continue
+        a = dom.index(x[i])
+        b = 0 if a else 1
+        if len(dom) > 2:
+            moved = q & (masks[dom[a]] | masks[dom[b]])
+            for j in range(b + 1, len(dom)):
+                if j != a:
+                    moved |= (q & masks[dom[j]]) >> (j - b) * s
+            q = moved
+        digits.append((i, s, len(dom), a))
+        ups.append((masks[dom[a]], (b - a) * s))
+    strict = 0
+    for same, shift in ups:
+        up = (q | strict) & same
+        strict |= up << shift if shift > 0 else up >> -shift
+    minimal = q & ~strict
+    sets = []
+    while minimal:
+        r = minimal.bit_length() - 1
+        minimal ^= 1 << r
+        sets.append(sum(1 << i for i, s, size, a in digits if r // s % size != a))
+    return sets
+
+
+def _code_differences(
+    cs: ConstrainedSpace, d: Decision, codes: tuple[int, list[int]]
+) -> list[int]:
+    """The decision's minimal difference sets, bit i for feature i, from
+    one XOR of packed codes per instance of F[C] labelled otherwise."""
+    n = cs.space.n
+    w, packed = codes
+    at = packed[cs.position(d.instance)]
+    labels = cs.labels(d.classifier)
+    diffs = {c ^ at for c, lab in zip(packed, labels) if lab != d.label}
+    if w > 1:  # adding all ones below each guard bit sets it when the field differs
+        guards = sum(1 << (i * w + w - 1) for i in range(n))
+        carry = guards - (guards >> w - 1)
+        diffs = {(z + carry) & guards for z in diffs}
+    minimal: list[int] = []
+    for s in sorted(diffs, key=int.bit_count):
+        if all(m & ~s for m in minimal):
+            minimal.append(s)
+    if w > 1:
+        minimal = [
+            sum(1 << i for i in range(n) if s >> (i * w + w - 1) & 1) for s in minimal
+        ]
+    return minimal
+
+
+def _packed_codes(cs: ConstrainedSpace) -> tuple[int, list[int]]:
+    """(w, codes): per instance of F[C], in order, a code holding feature
+    i's domain index in bits [i * w, (i + 1) * w). Fields wider than one
+    bit get a guard bit on top, always 0, that a carry can set."""
+
+    def make() -> tuple[int, list[int]]:
+        domains = [f.domain for f in cs.space.features]
+        w = max(len(d) - 1 for d in domains).bit_length()
+        w += w > 1
+        shifted = [{v: j << (i * w) for j, v in enumerate(d)} for i, d in enumerate(domains)]
+        return w, [sum(map(dict.get, shifted, x)) for x in cs.instances]
+
+    return cs.memo(_packed_codes, make)
+
+
+def _mask_words(cs: ConstrainedSpace) -> int:
+    """About what _mask_differences costs, in 64-bit word steps: a fold
+    step per value of each feature with more than two, and two steps per
+    feature for the upward closure."""
+    folds = sum(len(f.domain) for f in cs.space.features if len(f.domain) > 2)
+    return (2 * cs.space.n + folds) * -(-cs.size // 64)
 
 
 def _order(feats: tuple[int, ...]) -> tuple:
@@ -167,17 +265,35 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
+def cube(
+    cs: ConstrainedSpace, x: Instance, features: tuple[int, ...]
+) -> tuple[int, Explanation, Explanation]:
+    """The coverage mask of the cube that fixes x's values on the
+    features, and its AXP and PI explanations. The space keeps each cube
+    it is asked for while their masks stay within CUBE_CACHE_BITS."""
+    cubes = cs.memo(cube, dict)
+    key = (features, tuple(map(x.__getitem__, features)))
+    got = cubes.get(key)
+    if got is None:
+        cov = cs.coverage_mask(x, features)
+        axp = _explanation(cs, features, ExplanationKind.AXP, cov)
+        got = (cov, axp, replace(axp, kind=ExplanationKind.PI))
+        if len(cubes) * cs.size < CUBE_CACHE_BITS:
+            cubes[key] = got
+    return got
+
+
 def explained(
     cs: ConstrainedSpace, d: Decision, sets: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
     """The decision's AXps and PI-explanations from its AXps' feature
     sets, in the order given."""
-    found = [(f, cs.coverage_mask(d.instance, f)) for f in sets]
-    axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
+    found = [cube(cs, d.instance, f) for f in sets]
+    axps = tuple(axp for _, axp, _ in found)
     pis = tuple(
-        _explanation(cs, f, ExplanationKind.PI, cov)
-        for f, cov in found
-        if not any(cov & other == cov and cov != other for _, other in found)
+        pi
+        for cov, _, pi in found
+        if not any(cov & other == cov and cov != other for other, _, _ in found)
     )
     return axps, pis
 
@@ -197,24 +313,34 @@ def decision_reasons(
     """Every decision in canonical order, with its AXps and
     PI-explanations as ``reasons`` gives them.
 
-    A decision costs Berge one step per instance of F[C] labelled
-    otherwise. Berge searches the decisions as they are read while the
-    steps so far stay within the lattice's work count over
-    BERGE_STEP_WORDS; the decision that would pass it and every later
-    one get their AXps from one lattice walk.
+    Berge searches a decision with the cheaper producer of its
+    difference sets, charging its count in 64-bit word steps: the masks'
+    _mask_words, or BERGE_STEP_WORDS per instance of F[C] labelled
+    otherwise for the codes. It searches the decisions as they are read
+    while the charges so far stay within the lattice's count; the
+    decision that would pass it and every later one get their AXps from
+    one lattice walk.
     """
     n = cs.space.n
-    budget = (n << n) * -(-cs.size // 64) // BERGE_STEP_WORDS
+    budget = (n << n) * -(-cs.size // 64)
+    mask_words = _mask_words(cs)
     others = {c: len(cs) - m.bit_count() for c, m in cs.label_masks(k).items()}
     decisions = map(Decision, repeat(k), cs.instances, cs.labels(k))
     for position, d in enumerate(decisions):
-        budget -= others[d.label]
+        code_words = others[d.label] * BERGE_STEP_WORDS
+        budget -= min(mask_words, code_words)
         if budget < 0:
             later = _lattice_axps(cs, k, position)
             for d, sets in zip(chain((d,), decisions), later, strict=True):
                 yield (d, *explained(cs, d, sets))
             return
-        yield (d, *reasons(cs, d))
+        # with no instance labelled otherwise the masks are all zero, and
+        # so cheaper than the codes' scan of F[C]
+        if 0 < code_words < mask_words:
+            sets = _berge_axps(cs, d, _packed_codes(cs))
+        else:
+            sets = _berge_axps(cs, d)
+        yield (d, *explained(cs, d, sets))
 
 
 def _lattice_axps(

@@ -124,7 +124,7 @@ def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
     """No constrained instance agreeing with x off the protected set
     gets a different label."""
     cov = cs.coverage_mask(x, cs.space.unprotected)
-    same = cs.label_mask(k, cs.labels(k)[cs.position(x)])
+    same = cs.label_mask(k, cs.label_at(k, x))
     return cov & same == cov
 
 
@@ -154,16 +154,13 @@ def _check_ftu_exhaustive(
     if not twice & cs.sel:
         return True, None
     x = cs.least(twice & cs.sel)
-    same = cs.label_mask(k, cs.labels(k)[cs.position(x)])
+    same = cs.label_mask(k, cs.label_at(k, x))
     return False, (x, cs.least(cs.coverage_mask(x, cs.space.unprotected) & ~same))
 
 
 def _label_projections(cs: ConstrainedSpace, k: Classifier) -> dict[int, int]:
     """Per label c, the ranks whose unprotected values an F[C] instance labelled c has."""
-    return {
-        c: cs.exists(cs.label_mask(k, c), cs.space.protected)
-        for c in sorted(set(cs.labels(k)))
-    }
+    return {c: cs.exists(m, cs.space.protected) for c, m in cs.label_masks(k).items()}
 
 
 def _projection_count(cs: ConstrainedSpace, mask: int, forget: Iterable[int]) -> int:
@@ -245,7 +242,7 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
     for e in axps:
-        cov_e = cs.coverage_mask(x, e.features)
+        cov_e = explain.cube(cs, x, e.features)[0]
         for p in cs.space.protected:
             cov_q = cov_e & cs.rank_masks[p][x[p]]
             if cov_n & cov_q == cov_n and cov_n != cov_q:
@@ -370,7 +367,7 @@ def parse_causal_graph(obj) -> CausalGraph:
 def space_warnings(cs: ConstrainedSpace) -> tuple[str, ...]:
     """Conditions worth surfacing next to any verdict."""
     warnings = []
-    if not cs.instances:
+    if not len(cs):
         warnings.append(
             "empty constrained space: all classifier-level checks hold vacuously"
         )

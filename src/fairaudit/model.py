@@ -221,9 +221,11 @@ class ConstrainedSpace:
     r set when rank r gives feature i value v, and ``sel`` holds the
     ranks that satisfy the constraints. Every mask taken from the space
     lies inside ``sel``, so popcounts count constrained instances and the
-    lowest set rank is the least instance in canonical order. Positions
-    index ``instances``, ``labels(k)`` and ``packed_codes()``. Derived
-    values are made on first use and kept in one cache, ``memo``.
+    lowest set rank is the least instance in canonical order. An
+    instance's position in F[C] is the popcount of ``sel`` below its
+    rank; positions index ``instances`` and ``labels(k)``, which are
+    built only for callers that walk F[C]. Derived values are made on
+    first use and kept in one cache, ``memo``.
     """
 
     def __init__(
@@ -238,40 +240,62 @@ class ConstrainedSpace:
         self.rank_masks = rank_masks
         self.sel = sel
         self.size = space.full_size()
+        self._count = sel.bit_count()
         self._domains = [f.domain for f in space.features]
         # ranks between consecutive values of feature i
-        self._strides = [prod(map(len, self._domains[i + 1:])) for i in range(space.n)]
+        self.strides = [prod(map(len, self._domains[i + 1:])) for i in range(space.n)]
         # per feature, the ranks where it has its first value, and the
         # offsets of the other values' ranks from those
         self._spread = [
             (next(iter(masks.values())), range(s, len(masks) * s, s))
-            for masks, s in zip(rank_masks, self._strides)
+            for masks, s in zip(rank_masks, self.strides)
         ]
-        self.instances = self.instances_of_mask(sel)
-        self._position = {x: i for i, x in enumerate(self.instances)}
         self._memo: dict = {}
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self._count
+
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        return self.memo("instances", lambda: self.instances_of_mask(self.sel))
 
     def contains(self, x: Instance) -> bool:
-        return x in self._position
+        return self._selected_rank(x) is not None
 
     def position(self, x: Instance) -> int:
+        """x's index in ``instances``: the constrained ranks below its own."""
+        r = self._rank_in_space(x)
+        return (self.sel & ((1 << r) - 1)).bit_count()
+
+    def label_at(self, classifier, x: Instance) -> int:
+        """The label the classifier gives x, read off its label mask."""
+        r = self._rank_in_space(x)
+        return next(c for c, m in self.label_masks(classifier).items() if m >> r & 1)
+
+    def _selected_rank(self, x: Instance) -> int | None:
+        """x's rank when x is in F[C]; values compare with ``==``, so 1
+        stands for True as in a tuple comparison."""
+        if len(x) != self.space.n:
+            return None
         try:
-            return self._position[x]
-        except KeyError:
-            raise ModelSemanticError(
-                f"instance {x!r} does not satisfy the constraints"
-            ) from None
+            r = self.rank(x)
+        except ValueError:  # a value outside its domain
+            return None
+        return r if self.sel >> r & 1 else None
+
+    def _rank_in_space(self, x: Instance) -> int:
+        r = self._selected_rank(x)
+        if r is None:
+            raise ModelSemanticError(f"instance {x!r} does not satisfy the constraints")
+        return r
 
     def rank(self, x: Instance) -> int:
-        return sum(d.index(v) * s for d, v, s in zip(self._domains, x, self._strides))
+        return sum(d.index(v) * s for d, v, s in zip(self._domains, x, self.strides))
 
     def least(self, mask: int) -> Instance:
         """The instance at the lowest set rank of a nonzero mask."""
         r = (mask & -mask).bit_length() - 1
-        return tuple(d[r // s % len(d)] for d, s in zip(self._domains, self._strides))
+        return tuple(d[r // s % len(d)] for d, s in zip(self._domains, self.strides))
 
     def value_mask(self, feature: int, value: Value) -> int:
         return self.rank_masks[feature][value] & self.sel
@@ -309,22 +333,6 @@ class ConstrainedSpace:
         if got is None:
             got = self._memo[key] = make()
         return got
-
-    def packed_codes(self) -> tuple[int, list[int]]:
-        """(w, codes): each instance's code holds feature i's domain index
-        in bits [i * w, (i + 1) * w). Fields wider than one bit get a
-        guard bit on top, always 0, that a carry can set."""
-
-        def make() -> tuple[int, list[int]]:
-            w = max(len(d) - 1 for d in self._domains).bit_length()
-            w += w > 1
-            shifted = [
-                {v: j << (i * w) for j, v in enumerate(d)}
-                for i, d in enumerate(self._domains)
-            ]
-            return w, [sum(map(dict.get, shifted, x)) for x in self.instances]
-
-        return self.memo("packed_codes", make)
 
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
         flags = bit_flags(mask & self.sel, self.size)  # F[C]'s ranks only
@@ -392,14 +400,24 @@ def rank_masks(domains: Sequence[Sequence[Value]]) -> list[dict[Value, int]]:
     period = size  # ranks per full cycle of feature i's values
     for d in domains:
         run = period // len(d)  # consecutive ranks sharing one value
-        # most significant digit first: the highest rank comes first
-        masks.append({
-            v: int(("0" * (run * (len(d) - 1 - j)) + "1" * run + "0" * (run * j))
-                   * (size // period), 2)
-            for j, v in enumerate(d)
-        })
+        first = _tile((1 << run) - 1, period, size // period)
+        masks.append({v: first << run * j for j, v in enumerate(d)})
         period = run
     return masks
+
+
+def _tile(block: int, width: int, times: int) -> int:
+    """block repeated times times, width bits apart, by doubling."""
+    out = shift = 0
+    while True:
+        if times & 1:
+            out |= block << shift
+            shift += width
+        times >>= 1
+        if not times:
+            return out
+        block |= block << width
+        width *= 2
 
 
 def enumerate_space(space: FeatureSpace, constraints: ConstraintSet) -> ConstrainedSpace:

@@ -16,7 +16,8 @@ implication structure exercised here:
   * looseness plus FTU forces a fair reason, pointwise and globally,
     as does disentangledness;
   * both AXp engines, the forgetting lattice and Berge's algorithm,
-    find the same reasons for every decision.
+    find the same reasons for every decision, and Berge's two producers
+    of minimal difference sets, rank masks and packed codes, agree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import random
 from .errors import FtuViolationError
 from .explain import (
     _berge_axps,
+    _code_differences,
     _lattice_axps,
+    _mask_differences,
+    _packed_codes,
     all_axps,
     make_decision,
     one_axp,
@@ -184,7 +188,8 @@ def _check_one_axp(cs, k, rng: random.Random) -> list[str]:
 
 def _check_lattice(cs, k, rng: random.Random) -> list[str]:
     """The forgetting lattice finds the AXps Berge finds, decision by
-    decision, from a random start on."""
+    decision, from a random start on; the masks and the codes give Berge
+    the same minimal difference sets."""
     if not len(cs):
         return []
     start = rng.randrange(len(cs))
@@ -192,8 +197,12 @@ def _check_lattice(cs, k, rng: random.Random) -> list[str]:
     found = _lattice_axps(cs, k, start)
     if len(found) != len(later):
         return [f"the lattice found AXps for {len(found)} of {len(later)} decisions"]
+    codes = _packed_codes(cs)
     for x, sets in zip(later, found):
-        if list(sets) != _berge_axps(cs, make_decision(cs, k, x)):
+        d = make_decision(cs, k, x)
+        if sorted(_mask_differences(cs, d)) != sorted(_code_differences(cs, d, codes)):
+            return [f"mask and code difference sets differ at {x}"]
+        if list(sets) != _berge_axps(cs, d):
             return [f"lattice and Berge AXps differ at {x}"]
     return []
 

@@ -369,6 +369,81 @@ def both_engines(cs, k, start=0):
     return lattice, berge
 
 
+def brute_differences(cs, d) -> list[int]:
+    """The minimal difference sets over instance tuples, bit i for
+    feature i, ascending."""
+    x = d.instance
+    labels = cs.labels(d.classifier)
+    diffs = {
+        sum(1 << i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+        for y, lab in zip(cs.instances, labels)
+        if lab != d.label
+    }
+    return sorted(s for s in diffs if not any(t != s and t & s == t for t in diffs))
+
+
+def both_producers(cs, d) -> tuple[list[int], list[int]]:
+    """A decision's minimal difference sets from the rank masks and from
+    the packed codes, each ascending."""
+    masks = sorted(explain._mask_differences(cs, d))
+    codes = sorted(explain._code_differences(cs, d, explain._packed_codes(cs)))
+    return masks, codes
+
+
+class TestDifferenceSets:
+    """Both producers of Berge's minimal difference sets give the sets a
+    brute force over instance tuples gives."""
+
+    def test_seeded_random_models(self):
+        rng = random.Random(812)
+        decisions = 0
+        for _ in range(200):
+            rm = random_model(rng, max_features=6, max_domain=5)
+            for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
+                for x in rng.sample(cs.instances, min(len(cs), 12)):
+                    d = make_decision(cs, rm.classifier, x)
+                    masks, codes = both_producers(cs, d)
+                    assert masks == codes == brute_differences(cs, d)
+                    decisions += 1
+        assert decisions >= 3000
+
+    def test_singleton_domains(self):
+        rng = random.Random(813)
+        for _ in range(60):
+            space = random_space(rng, max_features=5, max_domain=5)
+            features = list(space.features)
+            for i in rng.sample(range(len(features)), rng.randint(1, len(features))):
+                f = features[i]
+                features[i] = Feature(i, f.name, f.domain[-1:], f.protected)
+            space = FeatureSpace(features)
+            cs = enumerate_space(space, random_constraints(rng, space))
+            domains = [f.domain for f in space.features]
+            labels = tuple(rng.randrange(3) for _ in itertools.product(*domains))
+            k = TableClassifier(tuple(domains), labels, 3)
+            for x in cs.instances:
+                d = make_decision(cs, k, x)
+                masks, codes = both_producers(cs, d)
+                assert masks == codes == brute_differences(cs, d)
+
+    def test_constant_classifier_has_no_difference_sets(self, load_model):
+        loaded = load_model("work_from_home")
+        k = ExpressionClassifier(parse_expr("false", loaded.space))
+        for cs in (loaded.constrained(), loaded.full()):
+            for x in cs.instances:
+                assert both_producers(cs, make_decision(cs, k, x)) == ([], [])
+                assert explain._berge_axps(cs, make_decision(cs, k, x)) == [()]
+
+    def test_empty_space(self, load_model):
+        empty = load_model("empty-space")
+        cs = empty.constrained()
+        assert len(cs) == 0 and explain._packed_codes(cs) == (1, [])
+        # no instance is labelled otherwise, whatever the instance asked about
+        x = empty.full().instances[0]
+        d = explain.Decision(empty.classifier, x, 0)
+        assert explain._mask_differences(cs, d) == []
+        assert list(decision_reasons(cs, empty.classifier)) == []
+
+
 class TestLatticeAgainstBerge:
     """The forgetting lattice finds, decision by decision, the AXps and
     PI-explanations that the per-decision Berge search finds."""
@@ -437,9 +512,9 @@ class TestDecisionReasons:
         runs = {"berge": 0, "lattice": 0}
         berge, lattice = explain._berge_axps, explain._lattice_axps
 
-        def counted_berge(cs, d):
+        def counted_berge(cs, d, *codes):
             runs["berge"] += 1
-            return berge(cs, d)
+            return berge(cs, d, *codes)
 
         def counted_lattice(cs, k, start):
             runs["lattice"] += 1

@@ -239,9 +239,9 @@ def engine_runs(monkeypatch) -> dict:
     runs = {"berge": 0, "lattice": 0}
     berge, lattice = explain._berge_axps, explain._lattice_axps
 
-    def counted_berge(cs, d):
+    def counted_berge(cs, d, *codes):
         runs["berge"] += 1
-        return berge(cs, d)
+        return berge(cs, d, *codes)
 
     def counted_lattice(cs, k, start):
         runs["lattice"] += 1
@@ -257,10 +257,21 @@ def boolean_space(n: int) -> FeatureSpace:
     return FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(n)])
 
 
+def berge_charges(cs, k) -> list[int]:
+    """Per decision, what the walk charges a Berge search in 64-bit word
+    steps: the cheaper of the rank-mask producer's count and
+    BERGE_STEP_WORDS per instance of F[C] labelled otherwise."""
+    words = -(-cs.size // 64)
+    domains = [len(f.domain) for f in cs.space.features]
+    mask = (2 * len(domains) + sum(d for d in domains if d > 2)) * words
+    step = explain.BERGE_STEP_WORDS
+    return [min(mask, (len(cs) - cs.label_mask(k, c).bit_count()) * step) for c in cs.labels(k)]
+
+
 class TestEngineChoice:
-    """A walk searches decisions with Berge while its steps, one per
-    instance of F[C] labelled otherwise, stay within the lattice's work
-    count over BERGE_STEP_WORDS, and hands the rest to one lattice run."""
+    """A walk searches decisions with Berge while its charges stay within
+    the lattice's work count, 2^n * n * ceil(|F| / 64) word steps, and
+    hands the rest to one lattice run."""
 
     def test_dense_fair_model_takes_the_lattice(self, monkeypatch):
         space = boolean_space(10)
@@ -271,7 +282,8 @@ class TestEngineChoice:
         runs = engine_runs(monkeypatch)
         v = classifier_verdict(cs, k)
         assert v.universal and len(v.decisions) == len(cs) == 1024
-        assert runs["lattice"] == 1 and runs["berge"] < len(cs) // 8
+        # 10 * 2^10 * 16 lattice words over the masks' 20 * 16 a decision
+        assert runs == {"berge": 512, "lattice": 1}
 
     def test_one_hot_model_takes_berge(self, monkeypatch):
         space = boolean_space(16)
@@ -309,18 +321,20 @@ class TestEngineChoice:
         rng = random.Random(811)
         runs = engine_runs(monkeypatch)
         switched = 0
-        for _ in range(150):
+        # a mask search is charged a small share of the lattice's count,
+        # so few walks reach the lattice; 250 models keep 20 or more that do
+        for _ in range(250):
             rm = random_model(rng, max_features=6, max_domain=4)
             cs = enumerate_space(rm.space, rm.constraints)
             k = rm.classifier
             runs.update(berge=0, lattice=0)
             v = classifier_verdict(cs, k)
             n = cs.space.n
-            budget = (n << n) * -(-cs.size // 64) // explain.BERGE_STEP_WORDS
-            others = [len(cs) - cs.label_mask(k, c).bit_count() for c in cs.labels(k)]
-            assert sum(others[: runs["berge"]]) <= budget
+            budget = (n << n) * -(-cs.size // 64)
+            charges = berge_charges(cs, k)
+            assert sum(charges[: runs["berge"]]) <= budget
             if runs["lattice"]:
-                assert sum(others[: runs["berge"] + 1]) > budget
+                assert sum(charges[: runs["berge"] + 1]) > budget
                 switched += 1
             else:
                 assert runs["berge"] == len(v.decisions)

@@ -21,7 +21,8 @@ from fairaudit import (
     render_model,
     unconstrained,
 )
-from fairaudit.model import ENUMERATION_CAP, PartialAssignment
+from fairaudit.classifier import parse_classifier
+from fairaudit.model import ENUMERATION_CAP, ConstrainedSpace, PartialAssignment
 
 
 def doc(features, constraints=()):
@@ -212,6 +213,68 @@ class TestCoverage:
         assert cov_big <= cov_small
         assert x in cov_big
         assert set(coverage(cs, x, set())) == set(cs.instances)
+
+
+class TestMembership:
+    """contains, position and label_at come from an instance's rank and
+    the constraint mask; values compare with ==, as tuples do."""
+
+    @pytest.fixture
+    def cs(self):
+        space, constraints = parse_model(
+            doc(
+                [
+                    bool_feature("a", True),
+                    {"name": "n", "domain": [3, 1, 2], "protected": False},
+                    bool_feature("b"),
+                ],
+                ["(implies a b)"],
+            )
+        )
+        return enumerate_space(space, constraints)
+
+    def test_positions_follow_the_canonical_order(self, cs):
+        assert len(cs) == 9
+        for i, x in enumerate(cs.instances):
+            assert cs.contains(x) and cs.position(x) == i
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (False, 3),  # too short
+            (False, 3, True, True),  # too long
+            (False, 4, True),  # 4 is not in n's domain
+            (False, 3, 2),  # 2 is not in b's domain
+            (True, 3, False),  # a without b
+            (),
+        ],
+    )
+    def test_outside_the_space(self, cs, x):
+        assert not cs.contains(x)
+        with pytest.raises(ModelSemanticError, match="does not satisfy"):
+            cs.position(x)
+
+    def test_one_and_zero_stand_for_true_and_false(self, cs):
+        assert cs.contains((1, 2, 1)) and cs.contains((0, 1, 0))
+        assert cs.position((1, 2, 1)) == cs.position((True, 2, True))
+        assert not cs.contains((1, 2, 0))
+        assert cs.contains((False, True, False))  # True == 1, in n's domain
+
+    def test_label_at_reads_the_label_masks(self, cs):
+        k = parse_classifier({"form": "expression", "expr": "(or b (= n 2))"}, cs.space)
+        for x in cs.instances:
+            assert cs.label_at(k, x) == k.evaluate(x)
+        assert cs.label_at(k, (0, 2, 0)) == 1
+        with pytest.raises(ModelSemanticError):
+            cs.label_at(k, (True, 3, False))
+
+    def test_instances_are_built_on_first_use(self, cs, monkeypatch):
+        def refuse(self, mask):
+            raise AssertionError("F[C] enumerated")
+
+        monkeypatch.setattr(ConstrainedSpace, "instances_of_mask", refuse)
+        assert len(cs) == 9 and cs.contains((True, 1, True))
+        assert cs.position((True, 1, True)) == 7
 
 
 class TestScopeProfile:
