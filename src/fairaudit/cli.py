@@ -218,7 +218,7 @@ def _cmd_audit(args) -> int:
 
 def _audit_body(args, space, cs, k, digest, extra: dict | None = None):
     every = tuple(fairness.decision_verdicts(cs, k)) if args.per_decision else None
-    verdict = fairness.classifier_verdict(cs, k, every)
+    verdict = fairness.classifier_verdict(cs, k)
     if args.engine == "search":
         holds, pair = fairness.check_ftu(cs, k, "search")
         if holds != verdict.ftu:

@@ -1,76 +1,61 @@
-"""Sufficient reasons for single decisions under constraints.
+"""Sufficient reasons for decisions under constraints.
 
 A weak AXp is a feature set whose values at the decision's instance
 force the classifier's output on every constrained instance. AXps are
 the subset-minimal ones; prime-implicant explanations are the AXps
 whose coverage is not properly contained in another AXp's coverage.
+Call an AXp's cube its features with the instance's values on them.
 
-Two engines find the AXps, with the same answers:
+Two routines find the AXps, with the same answers:
 
-  * Berge's algorithm, one decision at a time, by the AXp/CXp duality
-    (Ignatiev, Narodytska, Asher & Marques-Silva, "From contrastive to
-    abductive explanations and back again", AI*IA 2020): a feature set
-    is a weak AXp exactly when it meets the difference set
-    {i : y_i != x_i} of every constrained instance y labelled
-    otherwise, so the AXps are the minimal hitting sets of the minimal
-    difference sets. Two producers give it those sets:
-      - the rank masks (_mask_differences): every value of a feature
-        other than x's moves onto one value, so a rank stands for a
-        difference set, and an upward closure strikes the non-minimal
-        ones; about (2n + the sizes of the domains with more than two
-        values) big-int operations of ceil(|F| / 64) words, and nothing
-        per instance;
-      - the packed codes (_code_differences): one XOR per instance y,
-        after a per-space set-up that packs a code for every instance
-        of F[C].
-  * the forgetting lattice, every decision at once: S is a weak AXp at
-    x exactly when x lies outside the projection of the instances
-    labelled otherwise with the features off S forgotten (Lin & Reiter,
-    "Forget it!", 1994; Darwiche & Marquis, "A knowledge compilation
-    map", JAIR 2002). One depth-first walk over the feature sets, each
-    set's projections one ConstrainedSpace.exists from its parent's,
-    costs about 2^n * n * ceil(|F| / 64) mask-word steps.
+  * one decision (reasons, and so the explain command): Berge's
+    algorithm, by the AXp/CXp duality (Ignatiev, Narodytska, Asher &
+    Marques-Silva, "From contrastive to abductive explanations and back
+    again", AI*IA 2020). A feature set is a weak AXp exactly when it
+    meets the difference set {i : y_i != x_i} of every constrained
+    instance y labelled otherwise, so the AXps are the minimal hitting
+    sets of the minimal difference sets. _mask_differences reads those
+    off the rank masks in about (2n + the sizes of the domains with more
+    than two values) big-int operations, so F[C] is never enumerated.
+  * every decision at once (primes, and so the audit): the AXp cubes of
+    the decisions labelled c are exactly the prime implicants of
+    g_c = L_c | ~sel that meet L_c, a literal fixing one feature to one
+    value and the instances outside the constraints being don't-cares
+    (Quine, "The problem of simplifying truth functions", 1952). One
+    Shannon recursion on the rank masks finds them without enumerating
+    feature sets (Coudert & Madre, "Implicit and incremental computation
+    of primes and essential primes of Boolean functions", DAC 1992).
+    A decision's AXps are then the primes whose cubes hold it, and a
+    prime is a PI-explanation at every decision it covers or at none:
+    if cov(t) is inside cov(t'), every decision in cov(t) lies in t',
+    so t' is an AXp there too.
 
-One decision (reasons, and so the explain command) always takes Berge
-with the masks: it has no walk to spread the codes' set-up over, so F[C]
-is never enumerated. A walk over every decision (decision_reasons)
-gives each decision the producer whose count is smaller, charges that
-count, and once the next decision would take the charges past the
-lattice's count, one lattice walk finds the AXps of that decision and of
-every later one. Whether the caller reads every decision or stops
-early, the walk so pays a small multiple of what the better engine
-would have. The masks win on dense spaces; the codes only on sparse
-ones, where few instances are labelled otherwise and masks are long.
+Berge stays the independent oracle for the primes (propcheck).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
+from .boolexpr import Value
 from .classifier import Classifier
 from .errors import CapacityError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
 
+# Berge's transversals grow with the feature count; the prime recursion
+# enumerates no feature sets and is not held to it
 SUBSET_CAP = 20
 
-# what one XOR of packed codes costs, in 64-bit word steps of the
-# lattice and of the masks. Measured per decision on one host (Python
-# 3.11): 56 to 147 lattice words and 43 to 152 mask words on dense boolean
-# spaces of 11 to 14 features, 270 to 930 mask words on one-hot spaces of
-# 14 to 20. On dense spaces the masks' count is always the smaller, so
-# this value only picks the producer on sparse ones; there it favours the
-# codes, and a fair audit of the benchmark's onehot(1, 18) took 184 ms
-# with it against 204 to 229 ms with 128 to 400
-BERGE_STEP_WORDS = 48
-
-# how many bits of coverage masks a space keeps for cubes (explain.cube);
-# past it a cube's mask is rebuilt on each use, so that a walk over a
-# large sparse space, whose masks are long and whose cubes are many,
-# keeps its memory bounded
-CUBE_CACHE_BITS = 1 << 26
+# what the prime recursion may hold: the cubes one label's search builds
+# over all its calls, which also bound its memo, and the bits of the
+# primes' coverage masks together (256 MB). A fair audit of 20 boolean
+# features with 285 primes builds about 3,500 cubes and 2^28 mask bits;
+# a parity over 17 features, whose 2^16 primes are its minterms, stops
+# here
+PRIME_CAP = 1 << 18
+COVERAGE_CAP_BITS = 1 << 31
 
 
 class ExplanationKind(Enum):
@@ -92,6 +77,19 @@ class Decision:
     classifier: Classifier
     instance: Instance
     label: int
+
+
+@dataclass(frozen=True)
+class Prime:
+    """A constrained prime implicant of one label: the cube fixing
+    ``values`` on ``features``, the ranks of F[C] it covers, and its
+    explanation as an AXp of each decision it covers."""
+
+    label: int
+    features: tuple[int, ...]  # ascending
+    values: tuple[Value, ...]
+    cov: int
+    axp: Explanation
 
 
 def make_decision(cs: ConstrainedSpace, k: Classifier, x: Instance) -> Decision:
@@ -139,16 +137,13 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _berge_axps(
-    cs: ConstrainedSpace, d: Decision, codes: tuple[int, list[int]] | None = None
-) -> list[tuple[int, ...]]:
+def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
     """One decision's subset-minimal weak AXps, smallest first and
     lexicographic within a size: Berge's algorithm on the minimal
-    difference sets, read off the rank masks, or off the packed codes
-    when the caller passes the space's _packed_codes."""
+    difference sets read off the rank masks."""
     n = cs.space.n
     _check_cap(n)
-    minimal = _code_differences(cs, d, codes) if codes else _mask_differences(cs, d)
+    minimal = _mask_differences(cs, d)
     singles = [1 << i for i in range(n)]
     # Berge: extend the minimal transversals so far to the next set; an
     # extension can only be a superset of one that already hits that set
@@ -206,54 +201,6 @@ def _mask_differences(cs: ConstrainedSpace, d: Decision) -> list[int]:
     return sets
 
 
-def _code_differences(
-    cs: ConstrainedSpace, d: Decision, codes: tuple[int, list[int]]
-) -> list[int]:
-    """The decision's minimal difference sets, bit i for feature i, from
-    one XOR of packed codes per instance of F[C] labelled otherwise."""
-    n = cs.space.n
-    w, packed = codes
-    at = packed[cs.position(d.instance)]
-    labels = cs.labels(d.classifier)
-    diffs = {c ^ at for c, lab in zip(packed, labels) if lab != d.label}
-    if w > 1:  # adding all ones below each guard bit sets it when the field differs
-        guards = sum(1 << (i * w + w - 1) for i in range(n))
-        carry = guards - (guards >> w - 1)
-        diffs = {(z + carry) & guards for z in diffs}
-    minimal: list[int] = []
-    for s in sorted(diffs, key=int.bit_count):
-        if all(m & ~s for m in minimal):
-            minimal.append(s)
-    if w > 1:
-        minimal = [
-            sum(1 << i for i in range(n) if s >> (i * w + w - 1) & 1) for s in minimal
-        ]
-    return minimal
-
-
-def _packed_codes(cs: ConstrainedSpace) -> tuple[int, list[int]]:
-    """(w, codes): per instance of F[C], in order, a code holding feature
-    i's domain index in bits [i * w, (i + 1) * w). Fields wider than one
-    bit get a guard bit on top, always 0, that a carry can set."""
-
-    def make() -> tuple[int, list[int]]:
-        domains = [f.domain for f in cs.space.features]
-        w = max(len(d) - 1 for d in domains).bit_length()
-        w += w > 1
-        shifted = [{v: j << (i * w) for j, v in enumerate(d)} for i, d in enumerate(domains)]
-        return w, [sum(map(dict.get, shifted, x)) for x in cs.instances]
-
-    return cs.memo(_packed_codes, make)
-
-
-def _mask_words(cs: ConstrainedSpace) -> int:
-    """About what _mask_differences costs, in 64-bit word steps: a fold
-    step per value of each feature with more than two, and two steps per
-    feature for the upward closure."""
-    folds = sum(len(f.domain) for f in cs.space.features if len(f.domain) > 2)
-    return (2 * cs.space.n + folds) * -(-cs.size // 64)
-
-
 def _order(feats: tuple[int, ...]) -> tuple:
     return len(feats), feats
 
@@ -265,35 +212,17 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
-def cube(
-    cs: ConstrainedSpace, x: Instance, features: tuple[int, ...]
-) -> tuple[int, Explanation, Explanation]:
-    """The coverage mask of the cube that fixes x's values on the
-    features, and its AXP and PI explanations. The space keeps each cube
-    it is asked for while their masks stay within CUBE_CACHE_BITS."""
-    cubes = cs.memo(cube, dict)
-    key = (features, tuple(map(x.__getitem__, features)))
-    got = cubes.get(key)
-    if got is None:
-        cov = cs.coverage_mask(x, features)
-        axp = _explanation(cs, features, ExplanationKind.AXP, cov)
-        got = (cov, axp, replace(axp, kind=ExplanationKind.PI))
-        if len(cubes) * cs.size < CUBE_CACHE_BITS:
-            cubes[key] = got
-    return got
-
-
 def explained(
     cs: ConstrainedSpace, d: Decision, sets: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
     """The decision's AXps and PI-explanations from its AXps' feature
     sets, in the order given."""
-    found = [cube(cs, d.instance, f) for f in sets]
-    axps = tuple(axp for _, axp, _ in found)
+    found = [(f, cs.coverage_mask(d.instance, f)) for f in sets]
+    axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
     pis = tuple(
-        pi
-        for cov, _, pi in found
-        if not any(cov & other == cov and cov != other for other, _, _ in found)
+        replace(axp, kind=ExplanationKind.PI)
+        for axp, (_, cov) in zip(axps, found)
+        if not any(cov & other == cov and cov != other for _, other in found)
     )
     return axps, pis
 
@@ -307,85 +236,108 @@ def reasons(
     return explained(cs, d, _berge_axps(cs, d))
 
 
-def decision_reasons(
-    cs: ConstrainedSpace, k: Classifier
-) -> Iterator[tuple[Decision, tuple[Explanation, ...], tuple[Explanation, ...]]]:
-    """Every decision in canonical order, with its AXps and
-    PI-explanations as ``reasons`` gives them.
+def primes(cs: ConstrainedSpace, k: Classifier, upto: int | None = None) -> list[Prime]:
+    """Every label's constrained prime implicants, ordered by size then
+    features: with ``upto``, only those covering some rank of F[C] at or
+    below it, which are every AXp of the decisions there.
 
-    Berge searches a decision with the cheaper producer of its
-    difference sets, charging its count in 64-bit word steps: the masks'
-    _mask_words, or BERGE_STEP_WORDS per instance of F[C] labelled
-    otherwise for the codes. It searches the decisions as they are read
-    while the charges so far stay within the lattice's count; the
-    decision that would pass it and every later one get their AXps from
-    one lattice walk.
-    """
-    n = cs.space.n
-    budget = (n << n) * -(-cs.size // 64)
-    mask_words = _mask_words(cs)
-    others = {c: len(cs) - m.bit_count() for c, m in cs.label_masks(k).items()}
-    decisions = map(Decision, repeat(k), cs.instances, cs.labels(k))
-    for position, d in enumerate(decisions):
-        code_words = others[d.label] * BERGE_STEP_WORDS
-        budget -= min(mask_words, code_words)
-        if budget < 0:
-            later = _lattice_axps(cs, k, position)
-            for d, sets in zip(chain((d,), decisions), later, strict=True):
-                yield (d, *explained(cs, d, sets))
-            return
-        # with no instance labelled otherwise the masks are all zero, and
-        # so cheaper than the codes' scan of F[C]
-        if 0 < code_words < mask_words:
-            sets = _berge_axps(cs, d, _packed_codes(cs))
-        else:
-            sets = _berge_axps(cs, d)
-        yield (d, *explained(cs, d, sets))
+    For label c they are P(g_c, L_c) with g_c = L_c | ~sel (_prime_cubes).
+    Each prime's coverage mask and explanation are built once, and the
+    space keeps the list, so an audit that reads every decision and its
+    verdict finds each prime once."""
+
+    def make() -> list[Prime]:
+        ones = (1 << cs.size) - 1
+        seed = within(cs, upto)
+        found = []
+        bits = 0
+        for c, lab in cs.label_masks(k).items():
+            for cube in _prime_cubes(cs, lab | ones ^ cs.sel, lab & seed):
+                features = tuple(i for i, _ in cube)
+                cov = cs.sel
+                for i, v in cube:
+                    cov &= cs.rank_masks[i][v]
+                bits += cov.bit_length()
+                if bits > COVERAGE_CAP_BITS:
+                    raise CapacityError(
+                        f"the prime implicants' coverage masks pass the cap of "
+                        f"{COVERAGE_CAP_BITS} bits"
+                    )
+                axp = _explanation(cs, features, ExplanationKind.AXP, cov)
+                found.append(Prime(c, features, tuple(v for _, v in cube), cov, axp))
+        return sorted(found, key=lambda p: _order(p.features))
+
+    return cs.memo((primes, k, upto), make)
 
 
-def _lattice_axps(
-    cs: ConstrainedSpace, k: Classifier, start: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Per decision from position start on, its AXps ordered by size then
-    indices, all from one depth-first walk over the feature sets.
+def within(cs: ConstrainedSpace, upto: int | None) -> int:
+    """The ranks of F[C], those up to upto when it is given."""
+    return cs.sel if upto is None else cs.sel & ((2 << upto) - 1)
 
-    With L_c the decisions labelled c, Q_c the F[C] ranks labelled
-    otherwise and P_c(S) its projection with the features off S
-    forgotten, S is a weak AXp at exactly the decisions
-    W_S = OR_c (L_c & ~P_c(S)), and an AXp at those of W_S outside every
-    W_{S - j}. A child removes one feature
-    below every feature its parent removed, so each set is visited once;
-    W shrinks with S, so a set with W_S = 0 ends its branch."""
-    n = cs.space.n
-    _check_cap(n)
-    low = cs.rank(cs.instances[start])
-    targets = cs.sel >> low << low
-    by_label = [(m & targets, cs.sel ^ m) for m in cs.label_masks(k).values()]
-    tops = [t for t, _ in by_label if t]
-    stack = [((1 << n) - 1, n, targets, [q for t, q in by_label if t])]
-    found: dict[int, list[tuple[int, ...]]] = {}  # per decision's rank
-    while stack:
-        s, bound, axp, proj = stack.pop()
-        for j in range(n):
-            if not s >> j & 1:
-                continue
-            if j >= bound and not axp:
-                break  # no child left, and every decision is settled
-            child = [cs.exists(p, (j,)) for p in proj]
-            w = 0
-            for t, p in zip(tops, child):
-                w |= t & ~p
-            axp &= ~w
-            if w and j < bound:
-                stack.append((s ^ 1 << j, j, w, child))
-        if axp:
-            feats = tuple(i for i in range(n) if s >> i & 1)
-        while axp:
-            lowest = axp & -axp
-            found.setdefault(lowest.bit_length() - 1, []).append(feats)
-            axp ^= lowest
-    # every decision has an AXp, the full set being weak
-    return [tuple(sorted(found[r], key=_order)) for r in sorted(found)]
+
+def _prime_cubes(
+    cs: ConstrainedSpace, g: int, s: int
+) -> list[tuple[tuple[int, Value], ...]]:
+    """P(g, s), the prime implicants of the rank mask g that meet s, for
+    s inside g, as cubes of (feature, value) pairs in feature order.
+
+    The recursion splits on the feature j with the highest stride w
+    left. The cofactor of a mask for j's v-th value is
+    (mask >> v * w) & (2^w - 1). A prime either leaves j free, and is
+    then a prime of G = AND_v g_v, or fixes j = v and extends a prime p
+    of g_v whose cube is not inside G (else dropping j = v would leave
+    an implicant):
+
+        P(g, s) = P(G, OR_v s_v & G)
+                  | U_v {(j = v) p : p in P(g_v, s_v), cube(p) not inside G}
+
+    A prime p of g_v inside G is a prime of G too, since G lies inside
+    g_v, and it meets OR_v s_v & G where it meets s_v; so p is inside G
+    exactly when it is in P(G, OR_v s_v & G), and no mask is tested.
+    P(g, 0) is empty and P(all ones, s) the empty cube. Calls are
+    memoised on (level, g, s); features with one value split nothing
+    and are skipped. Past PRIME_CAP cubes built, CapacityError."""
+    domains = [f.domain for f in cs.space.features]
+    axes = [j for j, d in enumerate(domains) if len(d) > 1]
+    strides = [cs.strides[j] for j in axes]
+    # ones over the ranks a mask has at each level; the last level has one
+    full = [(1 << w) - 1 for w in (cs.size, *strides)]
+    memo: dict = {}
+    built = 0
+
+    def walk(level: int, g: int, s: int) -> list:
+        nonlocal built
+        if not s:
+            return []
+        if g == full[level]:
+            return [()]
+        key = (level, g, s)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        j, w, low = axes[level], strides[level], full[level + 1]
+        shifts = range(0, len(domains[j]) * w, w)
+        cofactors = [(g >> v & low, s >> v & low) for v in shifts]
+        free = low
+        union = 0
+        for gv, sv in cofactors:
+            free &= gv
+            union |= sv
+        out = list(walk(level + 1, free, union & free))
+        inside = set(out)
+        for value, (gv, sv) in zip(domains[j], cofactors):
+            if sv and gv != free:  # a prime of g_v = G is inside G
+                extend = walk(level + 1, gv, sv)
+                out += [((j, value), *p) for p in extend if p not in inside]
+        built += len(out)
+        if built > PRIME_CAP:
+            raise CapacityError(
+                f"the prime implicant search passed its cap of {PRIME_CAP} cubes"
+            )
+        memo[key] = out
+        return out
+
+    return walk(0, g, s)
 
 
 def all_axps(cs: ConstrainedSpace, d: Decision) -> list[Explanation]:

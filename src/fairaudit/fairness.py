@@ -18,7 +18,7 @@ check vacuously true; callers can surface space_warnings().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress
 from math import prod
@@ -27,7 +27,15 @@ from typing import Iterable, Iterator
 from . import explain, satcheck
 from .classifier import Classifier, TableClassifier
 from .errors import DocumentError, FtuViolationError, ModelSemanticError
-from .explain import Decision, Explanation, all_axps, make_decision, reasons
+from .explain import (
+    Decision,
+    Explanation,
+    ExplanationKind,
+    Prime,
+    all_axps,
+    make_decision,
+    reasons,
+)
 from .model import (
     ConstrainedSpace,
     FeatureSpace,
@@ -68,7 +76,6 @@ class ClassifierVerdict:
     disentangled: bool
     disentangled_failure: Decision | None
     scope_profile: ScopeProfile
-    decisions: tuple[DecisionVerdict, ...]  # examined in order, F[C]'s prefix
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,62 @@ def _verdict(
 
 
 def decision_verdicts(cs: ConstrainedSpace, k: Classifier) -> Iterator[DecisionVerdict]:
-    """Every decision's verdict in canonical order, from one walk that
-    finds each decision's AXps once."""
-    return (_verdict(*r) for r in explain.decision_reasons(cs, k))
+    """Every decision's verdict in canonical order, read off the primes
+    that cover it: its AXps, and its PI-explanations among them."""
+    found, pis = _primes_with_pis(cs, k)
+    covering: dict[int, list[int]] = {}  # per rank, its primes' indices in order
+    for i, t in enumerate(found):
+        for r in compress(range(cs.size), bit_flags(t.cov, cs.size)):
+            covering.setdefault(r, []).append(i)
+    # every decision has an AXp, so the covered ranks are F[C]'s
+    for x, r in zip(cs.instances, sorted(covering), strict=True):
+        at = covering[r]
+        d = Decision(k, x, found[at[0]].label)
+        axps = tuple(found[i].axp for i in at)
+        yield _verdict(d, axps, tuple(pis[i] for i in at if pis[i]))
+
+
+def _primes_with_pis(
+    cs: ConstrainedSpace, k: Classifier, upto: int | None = None
+) -> tuple[list[Prime], list[Explanation | None]]:
+    """explain.primes, and per prime its PI-explanation, None where it
+    is none.
+
+    A prime is a PI-explanation at every decision it covers or at none,
+    so one filter per label settles it: t is one unless a prime t' of its
+    label covers strictly more. Such a t' covers t's lowest rank, so only
+    the primes covering some prime's lowest rank are compared."""
+    found = explain.primes(cs, k, upto)
+    lows = 0
+    for t in found:
+        lows |= t.cov & -t.cov
+    at: dict[int, list[Prime]] = {}  # per lowest rank, the primes covering it
+    for t in found:
+        m = t.cov & lows
+        while m:
+            r = m.bit_length() - 1
+            at.setdefault(r, []).append(t)
+            m ^= 1 << r
+    pis = []
+    for t in found:
+        low, size = (t.cov & -t.cov).bit_length() - 1, t.axp.coverage_size
+        strict = any(
+            o.axp.coverage_size > size and t.cov & o.cov == t.cov for o in at[low]
+        )
+        pis.append(None if strict else replace(t.axp, kind=ExplanationKind.PI))
+    return found, pis
+
+
+def _pi_coverages(found: list[Prime], pis: list[Explanation | None]) -> tuple[int, int]:
+    """The ranks that some fair PI-explanation covers, and those that some
+    unfair one covers."""
+    fair_cov = unfair_cov = 0
+    for t, pi in zip(found, pis):
+        if pi and pi.fair:
+            fair_cov |= t.cov
+        elif pi:
+            unfair_cov |= t.cov
+    return fair_cov, unfair_cov
 
 
 def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -242,7 +302,7 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
     # an unfair weak AXp with coverage strictly above cov_n exists iff
     # some minimal AXp extended by one protected feature has one
     for e in axps:
-        cov_e = explain.cube(cs, x, e.features)[0]
+        cov_e = cs.coverage_mask(x, e.features)
         for p in cs.space.protected:
             cov_q = cov_e & cs.rank_masks[p][x[p]]
             if cov_n & cov_q == cov_n and cov_n != cov_q:
@@ -253,10 +313,55 @@ def _disentangled(cs: ConstrainedSpace, d: Decision, axps: Iterable[Explanation]
 def check_disentangled(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, Decision | None]:
-    for v in decision_verdicts(cs, k):
-        if not _disentangled(cs, v.decision, v.axps):
-            return False, v.decision
-    return True, None
+    """Whether every decision is disentangled, and else the least one
+    that is not; when FTU fails at x that one lies at or before x
+    (classifier_verdict), so the primes are found only up to x."""
+    holds, pair = check_ftu(cs, k, "exhaustive")
+    upto = None if holds else cs.rank(pair[0])
+    found = explain.primes(cs, k, upto)
+    tangled = explain.within(cs, upto) & ~_disentangled_mask(cs, k, found)
+    return not tangled, _first(cs, k, tangled)
+
+
+def _disentangled_mask(
+    cs: ConstrainedSpace, k: Classifier, found: Iterable[Prime]
+) -> int:
+    """The ranks of F[C] whose decisions are disentangled, where found
+    holds every AXp of those decisions.
+
+    Call a rank's unprotected cube the ranks of F[C] with its unprotected
+    values. The unprotected set is a weak AXp at the ranks whose cube
+    lies inside their label. An unfair weak AXp above it, covering
+    strictly more, exists where some prime t extended by a protected
+    literal, M = cov(t) & [p = v], holds the rank's cube and spans
+    another unprotected cube: at the ranks whose cube lies inside both
+    cov(t) and [p = v], when M spans two cubes or more."""
+    protected = cs.space.protected
+
+    def whole(m: int) -> int:  # the ranks whose unprotected cube lies inside m
+        return cs.sel & ~cs.exists(cs.sel & ~m, protected)
+
+    holds = 0
+    for lab in cs.label_masks(k).values():
+        holds |= whole(lab)
+    literals = [(m, whole(m)) for p in protected for m in cs.rank_masks[p].values()]
+    pinned = 0  # the ranks whose cube fixes some protected value
+    for _, w in literals:
+        pinned |= w
+    for t in found:
+        if not t.cov & holds & pinned:
+            continue
+        inside = whole(t.cov) & holds
+        for m, w in literals:
+            hit = inside & w
+            if hit and _projection_count(cs, t.cov & m, protected) >= 2:
+                holds &= ~hit
+    return holds
+
+
+def _first(cs: ConstrainedSpace, k: Classifier, mask: int) -> Decision | None:
+    """The decision at the lowest rank of the mask, None when it is 0."""
+    return make_decision(cs, k, cs.least(mask)) if mask else None
 
 
 def check_decomposable(cs: ConstrainedSpace) -> bool:
@@ -269,53 +374,50 @@ def check_decomposable(cs: ConstrainedSpace) -> bool:
     return on_p * _projection_count(cs, cs.sel, cs.space.protected) == len(cs)
 
 
-def classifier_verdict(
-    cs: ConstrainedSpace,
-    k: Classifier,
-    verdicts: Iterable[DecisionVerdict] | None = None,
-) -> ClassifierVerdict:
-    """Aggregate the per-decision verdicts plus the structural checks.
-
-    ``verdicts`` is decision_verdicts(cs, k), read here up to its first
-    unfair decision; a caller that reads every decision passes them in,
-    so that no decision's AXps are found twice.
+def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict:
+    """Aggregate the decision verdicts plus the structural checks.
 
     Failures carry the least failing instance in canonical order. The
-    walk stops at the first unfair decision, which is not disentangled
-    either: a fair AXp inside the unprotected set is subsumed, at the
-    end of a chain of PIs, by an unfair one covering strictly more.
-    When FTU fails the walk stops at the FTU witness x at the latest:
-    every fair set's cube at x contains x's FTU partner, so x has no
-    fair AXp.
+    decision verdicts are read off masks of F[C]'s ranks built from the
+    primes: a decision is unfair outside the coverage of the fair
+    PI-explanations, has an unfair one inside the coverage of the
+    unfair ones, and its disentangledness is _disentangled_mask's bit.
+
+    When FTU fails at x, the primes are found only for the ranks up to
+    x: every fair set's cube at x holds x's FTU partner, so x has no
+    fair AXp and is unfair. Every witness then lies at or before x: the
+    first unfair decision is not disentangled either, since a fair AXp
+    inside the unprotected set is subsumed, at the end of a chain of
+    PIs, by an unfair one covering strictly more.
     """
     ftu, ftu_pair = check_ftu(cs, k, "exhaustive")
-    if verdicts is None:
-        verdicts = decision_verdicts(cs, k)
-    decisions: list[DecisionVerdict] = []
-    for v in verdicts:
-        decisions.append(v)
-        if v.status is DecisionStatus.UNFAIR:
-            break
-    unfair = next((v for v in decisions if v.status is DecisionStatus.UNFAIR), None)
-    partly = next((v for v in decisions if v.unfair_pi is not None), None)
-    tangled = next(
-        (v for v in decisions if not _disentangled(cs, v.decision, v.axps)), None
-    )
+    upto = None if ftu else cs.rank(ftu_pair[0])
+    found, pis = _primes_with_pis(cs, k, upto)
+    fair_cov, unfair_cov = _pi_coverages(found, pis)
+    within = explain.within(cs, upto)
+    unfair = within & ~fair_cov
+    partly = within & unfair_cov
+    tangled = within & ~_disentangled_mask(cs, k, found)
+    unfair_pi = None
+    if partly:
+        low = partly & -partly
+        unfair_pi = next(
+            pi for t, pi in zip(found, pis) if pi and not pi.fair and t.cov & low
+        )
     loose, loose_violation = check_loose(cs)
     out = ClassifierVerdict(
         ftu=ftu,
         ftu_counterexample=ftu_pair,
-        existential=unfair is None,
-        existential_failure=unfair.decision if unfair else None,
-        universal=partly is None,
-        universal_failure=partly.decision if partly else None,
-        universal_unfair_pi=partly.unfair_pi if partly else None,
+        existential=not unfair,
+        existential_failure=_first(cs, k, unfair),
+        universal=not partly,
+        universal_failure=_first(cs, k, partly),
+        universal_unfair_pi=unfair_pi,
         loose=loose,
         loose_violation=loose_violation,
-        disentangled=tangled is None,
-        disentangled_failure=tangled.decision if tangled else None,
+        disentangled=not tangled,
+        disentangled_failure=_first(cs, k, tangled),
         scope_profile=constraint_scope_profile(cs.space, cs.constraints),
-        decisions=tuple(decisions),
     )
     _assert_verdict_chain(out)
     return out

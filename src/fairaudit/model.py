@@ -223,9 +223,9 @@ class ConstrainedSpace:
     lies inside ``sel``, so popcounts count constrained instances and the
     lowest set rank is the least instance in canonical order. An
     instance's position in F[C] is the popcount of ``sel`` below its
-    rank; positions index ``instances`` and ``labels(k)``, which are
-    built only for callers that walk F[C]. Derived values are made on
-    first use and kept in one cache, ``memo``.
+    rank; positions index ``instances``, which is built only for
+    callers that walk F[C]. Derived values are made on first use and
+    kept in one cache, ``memo``.
     """
 
     def __init__(
@@ -352,15 +352,6 @@ class ConstrainedSpace:
     def label_mask(self, classifier, label: int) -> int:
         return self.label_masks(classifier).get(label, 0)
 
-    def labels(self, classifier) -> tuple[int, ...]:
-        """Each constrained instance's label, read off the label masks."""
-
-        def make() -> tuple[int, ...]:
-            keep = bit_flags(self.sel, self.size)
-            return tuple(flat_labels(self.label_masks(classifier), self.size, keep))
-
-        return self.memo(("labels", classifier), make)
-
 
 _FLAG = bytes.maketrans(b"01", b"\0\1")
 _DIGIT = bytes.maketrans(b"\0\1", b"01")
@@ -376,19 +367,12 @@ def pack_bits(flags: Iterable[int]) -> int:
     return int(bytes(flags).translate(_DIGIT)[::-1] or b"0", 2)
 
 
-def flat_labels(
-    by_label: Mapping[int, int], size: int, keep: bytes | None = None
-) -> Sequence[int]:
+def flat_labels(by_label: Mapping[int, int], size: int) -> Sequence[int]:
     """The labels in rank order of disjoint per-label masks below
-    2 ** size, 0 at a rank that no mask holds; with ``keep``, the
-    bit_flags of a mask, only at the kept ranks."""
-    rows = []
-    for c, m in by_label.items():
-        if c:
-            flags = bit_flags(m, size)
-            rows.append(map(c.__mul__, flags if keep is None else compress(flags, keep)))
+    2 ** size, 0 at a rank that no mask holds."""
+    rows = [map(c.__mul__, bit_flags(m, size)) for c, m in by_label.items() if c]
     if not rows:
-        return bytes(size if keep is None else keep.count(1))
+        return bytes(size)
     return tuple(reduce(partial(map, add), rows))
 
 

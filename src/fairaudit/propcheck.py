@@ -15,9 +15,9 @@ implication structure exercised here:
     space exists;
   * looseness plus FTU forces a fair reason, pointwise and globally,
     as does disentangledness;
-  * both AXp engines, the forgetting lattice and Berge's algorithm,
-    find the same reasons for every decision, and Berge's two producers
-    of minimal difference sets, rank masks and packed codes, agree.
+  * the prime cubes the audit reads give every decision the AXps,
+    PI-explanations, status and disentangledness that Berge's
+    per-decision search gives.
 """
 
 from __future__ import annotations
@@ -27,17 +27,20 @@ import random
 from .errors import FtuViolationError
 from .explain import (
     _berge_axps,
-    _code_differences,
-    _lattice_axps,
-    _mask_differences,
-    _packed_codes,
     all_axps,
+    explained,
     make_decision,
     one_axp,
     pi_explanations,
     reasons,
 )
 from .fairness import (
+    DecisionStatus,
+    _disentangled,
+    _disentangled_mask,
+    _pi_coverages,
+    _primes_with_pis,
+    _verdict,
     build_completion,
     check_ftu,
     check_loose,
@@ -74,7 +77,7 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
 
     # one walk over every decision; every per-decision check reads it
     every = tuple(decision_verdicts(cs, k))
-    verdict = classifier_verdict(cs, k, every)  # raises on chain violations
+    verdict = classifier_verdict(cs, k)  # raises on chain violations
     if verdict.universal and not verdict.existential:
         out.append("universal fairness without existential fairness")
     if verdict.existential and not verdict.ftu:
@@ -90,7 +93,7 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
     out += _check_loose_links(cs, k, verdict, flags_cs)
     out += _check_engines(cs, k, verdict.ftu)
     out += _check_one_axp(cs, k, rng)
-    out += _check_lattice(cs, k, rng)
+    out += _check_primes(cs, k, rng)
     out += _check_unconstrained_pi(full, k, rng)
 
     if profile is not ScopeProfile.CROSSING:
@@ -186,24 +189,43 @@ def _check_one_axp(cs, k, rng: random.Random) -> list[str]:
     return []
 
 
-def _check_lattice(cs, k, rng: random.Random) -> list[str]:
-    """The forgetting lattice finds the AXps Berge finds, decision by
-    decision, from a random start on; the masks and the codes give Berge
-    the same minimal difference sets."""
+def _check_primes(cs, k, rng: random.Random) -> list[str]:
+    """At every decision, the primes covering it give the AXps and
+    PI-explanations one Berge search gives, the fair and unfair PI
+    coverages give the status Berge's PIs give, and the disentangled
+    mask's bit is _disentangled on Berge's AXps. The primes seeded up to
+    a random decision, as an audit seeds them when FTU fails there, are
+    the primes covering the decisions up to it, with the same PIs."""
     if not len(cs):
         return []
-    start = rng.randrange(len(cs))
-    later = cs.instances[start:]
-    found = _lattice_axps(cs, k, start)
-    if len(found) != len(later):
-        return [f"the lattice found AXps for {len(found)} of {len(later)} decisions"]
-    codes = _packed_codes(cs)
-    for x, sets in zip(later, found):
+    upto = cs.rank(cs.instances[rng.randrange(len(cs))])
+    found, pis = _primes_with_pis(cs, k)
+    below = (2 << upto) - 1
+    seeded = list(zip(*_primes_with_pis(cs, k, upto)))
+    if seeded != [(t, pi) for t, pi in zip(found, pis) if t.cov & below]:
+        return [f"the primes seeded up to rank {upto} differ"]
+    fair_cov, unfair_cov = _pi_coverages(found, pis)
+    disentangled = _disentangled_mask(cs, k, found)
+    for x in cs.instances:
         d = make_decision(cs, k, x)
-        if sorted(_mask_differences(cs, d)) != sorted(_code_differences(cs, d, codes)):
-            return [f"mask and code difference sets differ at {x}"]
-        if list(sets) != _berge_axps(cs, d):
-            return [f"lattice and Berge AXps differ at {x}"]
+        r = cs.rank(x)
+        sets = _berge_axps(cs, d)
+        axps, berge_pis = explained(cs, d, sets)
+        covering = [(t, pi) for t, pi in zip(found, pis) if t.cov >> r & 1]
+        if [t.features for t, _ in covering] != sets:
+            return [f"prime cubes and Berge give different AXps at {x}"]
+        if [pi.features for _, pi in covering if pi] != [e.features for e in berge_pis]:
+            return [f"prime cubes and Berge give different PIs at {x}"]
+        if not fair_cov >> r & 1:
+            status = DecisionStatus.UNFAIR
+        elif unfair_cov >> r & 1:
+            status = DecisionStatus.EXISTENTIALLY_FAIR_ONLY
+        else:
+            status = DecisionStatus.UNIVERSALLY_FAIR
+        if status is not _verdict(d, axps, berge_pis).status:
+            return [f"the PI coverages give status {status.value} at {x}"]
+        if bool(disentangled >> r & 1) != _disentangled(cs, d, axps):
+            return [f"the disentangled mask is wrong at {x}"]
     return []
 
 

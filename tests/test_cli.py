@@ -88,8 +88,8 @@ class TestAudit:
         statuses = {d["status"] for d in report["per_decision"]}
         assert statuses == {"EXISTENTIALLY_FAIR_ONLY"}
         assert len(report["per_decision"]) == 2
-        # every fixture's listing is each decision's own verdict, also where
-        # the verdict walk stopped at an unfair decision
+        # every fixture's listing is each decision's own verdict, also past
+        # an unfair decision
         early_exits = 0
         for path in sorted(fixtures_dir.glob("*.json")):
             loaded = load_model(path.stem)
@@ -122,7 +122,7 @@ class TestAudit:
                 capsys, "audit", str(path), "--notion", "universal", "--per-decision"
             )
             assert report["per_decision"] == expected, path.name
-            early_exits += len(fairness.classifier_verdict(cs, k).decisions) < len(cs)
+            early_exits += any(e["status"] == "UNFAIR" for e in expected[:-1])
         assert early_exits >= 5
 
     def test_reports_are_byte_identical(self, capsys):
@@ -165,46 +165,44 @@ class TestAudit:
 
 
 class TestOneAxpSearchPerDecision:
-    """No decision's AXps are found twice in one command, whichever engine
-    finds them: a Berge search covers one decision, a lattice run every
-    decision from its start on, and the lattice runs at most once."""
+    """An audit asks the prime recursion once per label, seeded with the
+    decisions of that label, and runs no Berge search; explain runs one
+    Berge search. With --per-decision on a model that fails FTU, the
+    verdict asks once more per label, about the decisions up to the FTU
+    witness only."""
 
     @pytest.fixture
     def searched(self, monkeypatch):
-        """Decisions whose AXps an engine found, in order, and the runs of
-        each engine."""
-        log = {"found": [], "berge": 0, "lattice": 0}
-        berge, lattice = explain._berge_axps, explain._lattice_axps
+        """The seeds of the prime recursion's calls, and the decisions
+        Berge searched, in order."""
+        log = {"seeds": [], "berge": []}
+        prime_cubes, berge = explain._prime_cubes, explain._berge_axps
 
-        def counted_berge(cs, d, *codes):
-            log["found"].append(d.instance)
-            log["berge"] += 1
-            return berge(cs, d, *codes)
+        def counted_primes(cs, g, s):
+            log["seeds"].append(s)
+            return prime_cubes(cs, g, s)
 
-        def counted_lattice(cs, k, start):
-            log["found"] += cs.instances[start:]
-            log["lattice"] += 1
-            return lattice(cs, k, start)
+        def counted_berge(cs, d):
+            log["berge"].append(d.instance)
+            return berge(cs, d)
 
+        monkeypatch.setattr(explain, "_prime_cubes", counted_primes)
         monkeypatch.setattr(explain, "_berge_axps", counted_berge)
-        monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
         return log
 
     @pytest.mark.parametrize("name", ["adopt2", "bonus_goals", "training_course"])
     def test_audit_of_a_fair_model(self, capsys, load_model, searched, name):
         code, _ = run_json(capsys, "audit", fixture(name), "--notion", "universal")
         assert code == 0
-        assert searched["found"] == list(load_model(name).constrained().instances)
-        # small dense spaces: the lattice's count is soon passed, except on
-        # bonus_goals, whose 4 decisions at 6 mask words each stay within
-        # its 3 * 2^3 words
-        assert searched["lattice"] == (0 if name == "bonus_goals" else 1)
+        loaded = load_model(name)
+        cs = loaded.constrained()
+        assert searched["seeds"] == list(cs.label_masks(loaded.classifier).values())
+        assert searched["berge"] == []
 
     def test_explain(self, capsys, searched):
         _, report = run_json(capsys, "explain", fixture("spouses"), "--instance", "1,1")
         assert report["axps"] and report["pi_explanations"]
-        assert searched["found"] == [(True, True)]
-        assert (searched["lattice"], searched["berge"]) == (0, 1)
+        assert searched == {"seeds": [], "berge": [(True, True)]}
 
     @pytest.mark.parametrize(
         "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
@@ -212,8 +210,16 @@ class TestOneAxpSearchPerDecision:
     def test_audit_per_decision(self, capsys, load_model, searched, name):
         # fair, universally unfair, and unfair with an early exit
         run_json(capsys, "audit", fixture(name), "--per-decision")
-        assert searched["found"] == list(load_model(name).constrained().instances)
-        assert searched["lattice"] <= 1
+        loaded = load_model(name)
+        cs, k = loaded.constrained(), loaded.classifier
+        labels = list(cs.label_masks(k).values())
+        assert searched["berge"] == []
+        # the listing's recursion over every decision, which the verdict
+        # reuses unless FTU fails
+        assert searched["seeds"][: len(labels)] == labels
+        holds, pair = fairness.check_ftu(cs, k)
+        seeded = [] if holds else [m & ((2 << cs.rank(pair[0])) - 1) for m in labels]
+        assert searched["seeds"][len(labels):] == seeded
 
 
 class TestExplain:
@@ -491,6 +497,54 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
         assert "internal error" not in err
+
+    def test_audit_over_the_subset_cap_is_answered(self, capsys, tmp_path):
+        # the prime recursion enumerates no feature sets, so the subset cap
+        # that stops explain does not stop an audit: pinning features 9..20
+        # to false changes no verdict, witness or listing of the 9-feature
+        # model
+        n = SUBSET_CAP + 1
+        pinned = {f"f{i}" for i in range(9, n)}
+        reports = []
+        for width, constraints in ((n, [f"(not {f})" for f in sorted(pinned)]), (9, [])):
+            doc = tmp_path / f"wide{width}.json"
+            doc.write_text(
+                json.dumps(
+                    {
+                        "features": [
+                            {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
+                            for i in range(width)
+                        ],
+                        "constraints": constraints,
+                        "classifier": {"form": "expression", "expr": "(or f0 f1)"},
+                    }
+                )
+            )
+            code, report = run_json(
+                capsys, "audit", str(doc), "--notion", "universal", "--per-decision"
+            )
+            assert code == 1
+            reports.append(report)
+
+        def unpinned(obj):
+            if isinstance(obj, dict):
+                return {key: unpinned(v) for key, v in obj.items() if key not in pinned}
+            if isinstance(obj, list):
+                return [unpinned(v) for v in obj]
+            return obj
+
+        wide, narrow = reports
+        assert wide["space"]["size_constrained"] == narrow["space"]["size_unconstrained"]
+        for key in ("verdicts", "witnesses", "per_decision"):
+            assert unpinned(wide[key]) == narrow[key]
+        assert not wide["verdicts"]["existential"] and len(wide["per_decision"]) == 512
+
+    @pytest.mark.parametrize("cap", ["PRIME_CAP", "COVERAGE_CAP_BITS"])
+    def test_audit_past_the_prime_caps_is_exit_2(self, capsys, monkeypatch, cap):
+        monkeypatch.setattr(explain, cap, 8)
+        code, out, err = run(capsys, "audit", fixture("work_from_home"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap" in err
 
     def test_internal_error_is_exit_2(self, capsys, monkeypatch):
         def broken(cs, k, verdicts=None):

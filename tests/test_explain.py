@@ -26,8 +26,8 @@ from fairaudit import (
     subsumes,
     unconstrained,
 )
-from fairaudit import explain
-from fairaudit.explain import SUBSET_CAP, ExplanationKind, decision_reasons
+from fairaudit import explain, fairness
+from fairaudit.explain import SUBSET_CAP, ExplanationKind
 from fairaudit.randmodels import random_constraints, random_model, random_space
 
 
@@ -359,40 +359,45 @@ class TestOneAxp:
             assert frozenset(got.features) in feature_sets(all_axps(cs, d))
 
 
-def both_engines(cs, k, start=0):
-    """Each decision's AXp feature sets from position start on, from one
-    lattice walk and from one Berge search per decision."""
-    if start >= len(cs):
-        return [], []
-    lattice = [list(sets) for sets in explain._lattice_axps(cs, k, start)]
-    berge = [explain._berge_axps(cs, make_decision(cs, k, x)) for x in cs.instances[start:]]
-    return lattice, berge
+def both_engines(cs, k, upto=None):
+    """Per decision at a rank up to upto (every decision by default), its
+    AXp and PI feature sets from the prime cubes covering it, and from
+    one Berge search."""
+    found, pis = fairness._primes_with_pis(cs, k, upto)
+    primes, berge = [], []
+    for x in cs.instances:
+        r = cs.rank(x)
+        if upto is not None and r > upto:
+            break
+        covering = [(t, pi) for t, pi in zip(found, pis) if t.cov >> r & 1]
+        pis_here = [pi.features for _, pi in covering if pi]
+        primes.append(([t.features for t, _ in covering], pis_here))
+        d = make_decision(cs, k, x)
+        sets = explain._berge_axps(cs, d)
+        berge.append((sets, [e.features for e in explain.explained(cs, d, sets)[1]]))
+    return primes, berge
 
 
 def brute_differences(cs, d) -> list[int]:
     """The minimal difference sets over instance tuples, bit i for
     feature i, ascending."""
     x = d.instance
-    labels = cs.labels(d.classifier)
     diffs = {
         sum(1 << i for i, (u, v) in enumerate(zip(x, y)) if u != v)
-        for y, lab in zip(cs.instances, labels)
-        if lab != d.label
+        for y in cs.instances
+        if d.classifier.evaluate(y) != d.label
     }
     return sorted(s for s in diffs if not any(t != s and t & s == t for t in diffs))
 
 
-def both_producers(cs, d) -> tuple[list[int], list[int]]:
-    """A decision's minimal difference sets from the rank masks and from
-    the packed codes, each ascending."""
-    masks = sorted(explain._mask_differences(cs, d))
-    codes = sorted(explain._code_differences(cs, d, explain._packed_codes(cs)))
-    return masks, codes
+def mask_differences(cs, d) -> list[int]:
+    """A decision's minimal difference sets from the rank masks, ascending."""
+    return sorted(explain._mask_differences(cs, d))
 
 
 class TestDifferenceSets:
-    """Both producers of Berge's minimal difference sets give the sets a
-    brute force over instance tuples gives."""
+    """The rank masks give Berge the minimal difference sets that a brute
+    force over instance tuples gives."""
 
     def test_seeded_random_models(self):
         rng = random.Random(812)
@@ -402,8 +407,7 @@ class TestDifferenceSets:
             for cs in (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space)):
                 for x in rng.sample(cs.instances, min(len(cs), 12)):
                     d = make_decision(cs, rm.classifier, x)
-                    masks, codes = both_producers(cs, d)
-                    assert masks == codes == brute_differences(cs, d)
+                    assert mask_differences(cs, d) == brute_differences(cs, d)
                     decisions += 1
         assert decisions >= 3000
 
@@ -422,31 +426,34 @@ class TestDifferenceSets:
             k = TableClassifier(tuple(domains), labels, 3)
             for x in cs.instances:
                 d = make_decision(cs, k, x)
-                masks, codes = both_producers(cs, d)
-                assert masks == codes == brute_differences(cs, d)
+                assert mask_differences(cs, d) == brute_differences(cs, d)
+            primes, berge = both_engines(cs, k)
+            assert primes == berge
 
     def test_constant_classifier_has_no_difference_sets(self, load_model):
         loaded = load_model("work_from_home")
         k = ExpressionClassifier(parse_expr("false", loaded.space))
         for cs in (loaded.constrained(), loaded.full()):
             for x in cs.instances:
-                assert both_producers(cs, make_decision(cs, k, x)) == ([], [])
+                assert mask_differences(cs, make_decision(cs, k, x)) == []
                 assert explain._berge_axps(cs, make_decision(cs, k, x)) == [()]
 
     def test_empty_space(self, load_model):
         empty = load_model("empty-space")
         cs = empty.constrained()
-        assert len(cs) == 0 and explain._packed_codes(cs) == (1, [])
+        assert len(cs) == 0
         # no instance is labelled otherwise, whatever the instance asked about
         x = empty.full().instances[0]
         d = explain.Decision(empty.classifier, x, 0)
         assert explain._mask_differences(cs, d) == []
-        assert list(decision_reasons(cs, empty.classifier)) == []
+        assert explain.primes(cs, empty.classifier) == []
 
 
 class TestLatticeAgainstBerge:
-    """The forgetting lattice finds, decision by decision, the AXps and
-    PI-explanations that the per-decision Berge search finds."""
+    """Every label's prime cubes, the part of the cube lattice that the
+    audit reads its reasons from, give every decision the AXps and
+    PI-explanations that a Berge search for that decision gives; the
+    primes up to a rank give them to every decision up to it."""
 
     def test_seeded_random_models(self):
         rng = random.Random(808)
@@ -455,9 +462,9 @@ class TestLatticeAgainstBerge:
             rm = random_model(rng, max_features=6, max_domain=5)
             spaces = (enumerate_space(rm.space, rm.constraints), unconstrained(rm.space))
             for cs in spaces:
-                start = rng.randrange(len(cs)) if len(cs) else 0
-                lattice, berge = both_engines(cs, rm.classifier, start)
-                assert lattice == berge
+                upto = rng.choice([None, rng.randrange(cs.size)])
+                primes, berge = both_engines(cs, rm.classifier, upto)
+                assert primes == berge
                 decisions += len(berge)
         assert decisions >= 5000
 
@@ -476,16 +483,18 @@ class TestLatticeAgainstBerge:
                 for x in itertools.product(*domains)
             )
             k = TableClassifier(domains, labels, classes)
-            lattice, berge = both_engines(cs, k)
-            assert lattice == berge
+            primes, berge = both_engines(cs, k)
+            assert primes == berge
 
     def test_constant_classifier_and_empty_space(self, load_model):
         loaded = load_model("bonus_goals")
         constant = ExpressionClassifier(parse_expr("true", loaded.space))
-        lattice, berge = both_engines(loaded.full(), constant)
-        assert lattice == berge == [[()]] * 8
+        primes, berge = both_engines(loaded.full(), constant)
+        assert primes == berge == [([()], [()])] * 8
+        (empty_cube,) = explain.primes(loaded.full(), constant)
+        assert empty_cube.cov == loaded.full().sel and empty_cube.label == 1
         empty = load_model("empty-space")
-        assert list(decision_reasons(empty.constrained(), empty.classifier)) == []
+        assert list(fairness.decision_verdicts(empty.constrained(), empty.classifier)) == []
 
     def test_every_fixture(self, fixtures_dir, load_model):
         paths = sorted(fixtures_dir.glob("*.json"))
@@ -493,38 +502,37 @@ class TestLatticeAgainstBerge:
         for path in paths:
             loaded = load_model(path.stem)
             for cs in (loaded.constrained(), loaded.full()):
-                lattice, berge = both_engines(cs, loaded.classifier)
-                assert lattice == berge, path.name
+                primes, berge = both_engines(cs, loaded.classifier)
+                assert primes == berge, path.name
 
 
 class TestDecisionReasons:
-    """The walk gives every decision what reasons gives it, on either side
-    of its switch from Berge to the lattice."""
+    """decision_verdicts gives every decision what one Berge search for
+    it gives, from one prime recursion per label for the whole walk."""
 
-    def test_switches_to_the_lattice_mid_walk(self, monkeypatch):
+    def test_one_recursion_per_label_and_no_berge_search(self, monkeypatch):
         space = FeatureSpace(
             [Feature(i, f"f{i}", (False, True), i % 4 == 0) for i in range(10)]
         )
         k = ExpressionClassifier(parse_expr("(or (and f1 f2) (and f3 (not f5)) f7)", space))
         cs = unconstrained(space)
         decisions = [make_decision(cs, k, x) for x in cs.instances]
-        want = [(d, *explain.reasons(cs, d)) for d in decisions]
-        runs = {"berge": 0, "lattice": 0}
-        berge, lattice = explain._berge_axps, explain._lattice_axps
+        want = [fairness.decision_verdict(cs, d) for d in decisions]
+        seeds = []
+        prime_cubes = explain._prime_cubes
 
-        def counted_berge(cs, d, *codes):
-            runs["berge"] += 1
-            return berge(cs, d, *codes)
+        def counted(cs, g, s):
+            seeds.append(s)
+            return prime_cubes(cs, g, s)
 
-        def counted_lattice(cs, k, start):
-            runs["lattice"] += 1
-            assert start == runs["berge"]
-            return lattice(cs, k, start)
+        def no_berge(cs, d):
+            raise AssertionError("a Berge search in a walk over every decision")
 
-        monkeypatch.setattr(explain, "_berge_axps", counted_berge)
-        monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
-        assert list(decision_reasons(cs, k)) == want
-        assert 0 < runs["berge"] < len(cs) and runs["lattice"] == 1
+        monkeypatch.setattr(explain, "_prime_cubes", counted)
+        monkeypatch.setattr(explain, "_berge_axps", no_berge)
+        assert list(fairness.decision_verdicts(cs, k)) == want
+        # each label once, its seed that label's decisions
+        assert seeds == list(cs.label_masks(k).values())
 
     def test_seeded_random_models_read_for_a_random_length(self):
         rng = random.Random(810)
@@ -534,8 +542,8 @@ class TestDecisionReasons:
                 k = rm.classifier
                 read = rng.randrange(len(cs) + 1)
                 want = [
-                    (d, *explain.reasons(cs, d))
-                    for d in (make_decision(cs, k, x) for x in cs.instances[:read])
+                    fairness.decision_verdict(cs, make_decision(cs, k, x))
+                    for x in cs.instances[:read]
                 ]
-                walk = decision_reasons(cs, k)
+                walk = fairness.decision_verdicts(cs, k)
                 assert [next(walk) for _ in range(read)] == want

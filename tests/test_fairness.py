@@ -196,19 +196,19 @@ class TestClassifierVerdict:
 
 def two_walk_reference(cs, k):
     """The classifier-level failures from every decision's own verdict
-    plus a separate check_disentangled walk."""
+    and disentangledness, each from one Berge search."""
     verdicts = [decision_verdict(cs, make_decision(cs, k, x)) for x in cs.instances]
     unfair = [v for v in verdicts if v.status is DecisionStatus.UNFAIR]
     partly = [v for v in verdicts if v.unfair_pi is not None]
-    disentangled, disentangled_failure = check_disentangled(cs, k)
+    tangled = [x for x in cs.instances if not decision_disentangled(cs, k, x)]
     return verdicts, {
         "existential": not unfair,
         "existential_failure": unfair[0].decision if unfair else None,
         "universal": not partly,
         "universal_failure": partly[0].decision if partly else None,
         "universal_unfair_pi": partly[0].unfair_pi if partly else None,
-        "disentangled": disentangled,
-        "disentangled_failure": disentangled_failure,
+        "disentangled": not tangled,
+        "disentangled_failure": make_decision(cs, k, tangled[0]) if tangled else None,
     }
 
 
@@ -222,34 +222,33 @@ class TestOneWalk:
                 v = classifier_verdict(cs, rm.classifier)
                 verdicts, expected = two_walk_reference(cs, rm.classifier)
                 assert {name: getattr(v, name) for name in expected} == expected
-                # the walk examines F[C] in order, up to the first unfair decision
-                assert v.decisions == tuple(verdicts[: len(v.decisions)])
-                if v.existential:
-                    assert len(v.decisions) == len(cs)
-                else:
-                    assert v.decisions[-1].status is DecisionStatus.UNFAIR
-                    early_exits += len(v.decisions) < len(cs)
+                assert check_disentangled(cs, rm.classifier) == (
+                    expected["disentangled"],
+                    expected["disentangled_failure"],
+                )
+                # the verdict read the primes only up to the FTU witness
+                early_exits += not v.ftu and v.ftu_counterexample[0] != cs.instances[-1]
                 violated += not (v.existential and v.universal and v.disentangled)
         assert early_exits >= 100 and violated >= 150
 
 
-def engine_runs(monkeypatch) -> dict:
-    """How often each AXp engine runs: Berge once per decision, the
-    lattice once for every decision from its start on."""
-    runs = {"berge": 0, "lattice": 0}
-    berge, lattice = explain._berge_axps, explain._lattice_axps
+def recursion_seeds(monkeypatch) -> dict:
+    """What the audit asks of its engines: the seed s of each call of
+    the prime recursion, and the decisions Berge searches."""
+    asked = {"seeds": [], "berge": []}
+    prime_cubes, berge = explain._prime_cubes, explain._berge_axps
 
-    def counted_berge(cs, d, *codes):
-        runs["berge"] += 1
-        return berge(cs, d, *codes)
+    def counted_primes(cs, g, s):
+        asked["seeds"].append(s)
+        return prime_cubes(cs, g, s)
 
-    def counted_lattice(cs, k, start):
-        runs["lattice"] += 1
-        return lattice(cs, k, start)
+    def counted_berge(cs, d):
+        asked["berge"].append(d.instance)
+        return berge(cs, d)
 
+    monkeypatch.setattr(explain, "_prime_cubes", counted_primes)
     monkeypatch.setattr(explain, "_berge_axps", counted_berge)
-    monkeypatch.setattr(explain, "_lattice_axps", counted_lattice)
-    return runs
+    return asked
 
 
 def boolean_space(n: int) -> FeatureSpace:
@@ -257,35 +256,24 @@ def boolean_space(n: int) -> FeatureSpace:
     return FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(n)])
 
 
-def berge_charges(cs, k) -> list[int]:
-    """Per decision, what the walk charges a Berge search in 64-bit word
-    steps: the cheaper of the rank-mask producer's count and
-    BERGE_STEP_WORDS per instance of F[C] labelled otherwise."""
-    words = -(-cs.size // 64)
-    domains = [len(f.domain) for f in cs.space.features]
-    mask = (2 * len(domains) + sum(d for d in domains if d > 2)) * words
-    step = explain.BERGE_STEP_WORDS
-    return [min(mask, (len(cs) - cs.label_mask(k, c).bit_count()) * step) for c in cs.labels(k)]
-
-
 class TestEngineChoice:
-    """A walk searches decisions with Berge while its charges stay within
-    the lattice's work count, 2^n * n * ceil(|F| / 64) word steps, and
-    hands the rest to one lattice run."""
+    """An audit finds every AXp it reads by one prime recursion per label,
+    seeded with that label's decisions, and runs no Berge search; when
+    FTU fails the seeds stop at the FTU witness. One decision's verdict
+    runs one Berge search and no recursion."""
 
-    def test_dense_fair_model_takes_the_lattice(self, monkeypatch):
+    def test_dense_fair_model_runs_one_recursion_per_label(self, monkeypatch):
         space = boolean_space(10)
         k = ExpressionClassifier(
             parse_expr("(or (and f1 f2) (and f3 (not f5)) (and f6 f7 f9))", space)
         )
         cs = unconstrained(space)
-        runs = engine_runs(monkeypatch)
+        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
-        assert v.universal and len(v.decisions) == len(cs) == 1024
-        # 10 * 2^10 * 16 lattice words over the masks' 20 * 16 a decision
-        assert runs == {"berge": 512, "lattice": 1}
+        assert v.universal and v.disentangled and len(cs) == 1024
+        assert asked == {"seeds": list(cs.label_masks(k).values()), "berge": []}
 
-    def test_one_hot_model_takes_berge(self, monkeypatch):
+    def test_one_hot_model_runs_one_recursion_per_label(self, monkeypatch):
         space = boolean_space(16)
         texts = []
         for g in range(0, 16, 4):
@@ -300,50 +288,39 @@ class TestEngineChoice:
         k = ExpressionClassifier(parse_expr("(or (and f1 f5) f10 (and f6 f15))", space))
         cs = enumerate_space(space, constraints)
         assert len(cs) == 256
-        runs = engine_runs(monkeypatch)
+        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
-        assert v.existential  # no early exit: every decision is read
-        assert runs == {"berge": len(cs), "lattice": 0}
+        assert v.existential  # FTU holds: every decision is read
+        assert asked == {"seeds": list(cs.label_masks(k).values()), "berge": []}
 
-    def test_early_exit_takes_berge(self, monkeypatch):
-        # dense, FTU fails, and the walk reads no decision past the witness
+    def test_early_exit_seeds_no_rank_past_the_ftu_witness(self, monkeypatch):
+        # dense, and FTU fails early: the recursion is asked about the
+        # decisions up to the witness, a few of F[C]'s 1,024
         space = boolean_space(10)
         k = ExpressionClassifier(parse_expr("(or (and f0 f9) (and f2 f3))", space))
         cs = unconstrained(space)
         holds, (x, _) = check_ftu(cs, k)
-        assert not holds
-        runs = engine_runs(monkeypatch)
+        assert not holds and cs.rank(x) < 64
+        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
-        assert not v.existential and len(v.decisions) <= cs.position(x) + 1
-        assert runs == {"berge": len(v.decisions), "lattice": 0}
+        assert not v.existential and asked["berge"] == []
+        upto = (2 << cs.rank(x)) - 1
+        assert asked["seeds"] == [m & upto for m in cs.label_masks(k).values()]
 
-    def test_berge_spends_at_most_the_lattice_count_over_the_ratio(self, monkeypatch):
-        rng = random.Random(811)
-        runs = engine_runs(monkeypatch)
-        switched = 0
-        # a mask search is charged a small share of the lattice's count,
-        # so few walks reach the lattice; 250 models keep 20 or more that do
-        for _ in range(250):
-            rm = random_model(rng, max_features=6, max_domain=4)
-            cs = enumerate_space(rm.space, rm.constraints)
-            k = rm.classifier
-            runs.update(berge=0, lattice=0)
-            v = classifier_verdict(cs, k)
-            n = cs.space.n
-            budget = (n << n) * -(-cs.size // 64)
-            charges = berge_charges(cs, k)
-            assert sum(charges[: runs["berge"]]) <= budget
-            if runs["lattice"]:
-                assert sum(charges[: runs["berge"] + 1]) > budget
-                switched += 1
-            else:
-                assert runs["berge"] == len(v.decisions)
-        assert 20 <= switched <= 130
+    def test_one_decision_runs_one_berge_search(self, monkeypatch):
+        space = boolean_space(10)
+        k = ExpressionClassifier(parse_expr("(or (and f0 f9) (and f2 f3))", space))
+        cs = unconstrained(space)
+        asked = recursion_seeds(monkeypatch)
+        x = cs.instances[700]
+        decision_verdict(cs, make_decision(cs, k, x))
+        assert asked == {"seeds": [], "berge": [x]}
 
 
 class TestFtuWitnessBound:
-    def test_the_walk_stops_at_the_ftu_witness_at_the_latest(self):
+    def test_the_walk_stops_at_the_ftu_witness_at_the_latest(self, monkeypatch):
         rng = random.Random(325)
+        asked = recursion_seeds(monkeypatch)
         failing = 0
         for _ in range(300):
             rm = random_model(rng, max_features=6, max_domain=4)
@@ -356,10 +333,15 @@ class TestFtuWitnessBound:
             v = decision_verdict(cs, make_decision(cs, rm.classifier, x))
             assert v.fair_pi is None and v.status is DecisionStatus.UNFAIR
             assert not decision_disentangled(cs, rm.classifier, x)
+            # every witness lies at or before x, and the recursion is
+            # asked about no decision after it
+            asked["seeds"].clear()
             walked = classifier_verdict(cs, rm.classifier)
-            assert len(walked.decisions) <= cs.position(x) + 1
             tangled = check_disentangled(cs, rm.classifier)[1]
-            assert cs.position(tangled.instance) <= cs.position(x)
+            for d in (walked.existential_failure, walked.universal_failure, tangled):
+                assert cs.rank(d.instance) <= cs.rank(x)
+            assert walked.disentangled_failure == tangled
+            assert asked["seeds"] and all(s >> cs.rank(x) + 1 == 0 for s in asked["seeds"])
         assert failing >= 60
 
 

@@ -406,7 +406,7 @@ class TestBitParallelAgainstBruteForce:
             for v in f.domain:
                 assert cs.value_mask(i, v) == bits(lambda x: x[i] == v)
         for k in classifiers:
-            assert cs.labels(k) == tuple(k.evaluate(x) for x in brute)
+            assert [cs.label_at(k, x) for x in brute] == [k.evaluate(x) for x in brute]
             for label in range(k.class_count):
                 assert cs.label_mask(k, label) == bits(lambda x: k.evaluate(x) == label)
         rng = random.Random(len(brute))
@@ -490,7 +490,7 @@ class TestBitParallelAgainstBruteForce:
         assert len(cs) == 2
         empty = ConstraintSet((Constraint(Const(False)),))
         cs = self.check(space, empty, [k, table])
-        assert cs.instances == () and cs.labels(k) == () and cs.sel == 0
+        assert cs.instances == () and cs.sel == 0
         single = FeatureSpace([Feature(0, "a", (False,), False)])
         self.check(single, ConstraintSet(), [ExpressionClassifier(Var(0))])
 
@@ -530,7 +530,7 @@ class TestBitParallelAgainstBruteForce:
         constraints = ConstraintSet((Constraint(Or((Le(2, 5), Var(1)))),))
         for cons in (constraints, ConstraintSet()):
             cs = self.check(space, cons, [table, tree])
-            assert set(cs.labels(tree)) == {0, 1, 2, 3, 300}
+            assert {cs.label_at(tree, x) for x in cs.instances} == {0, 1, 2, 3, 300}
 
 
 class TestExists:
