@@ -30,13 +30,6 @@ from .model import (
 RankMasks = Sequence[Mapping[Value, int]]
 
 
-class _Form:
-    def rank_labels(self, masks: RankMasks, size: int) -> Sequence[int]:
-        """The labels over the full space in rank order, as a sequence
-        that can be read more than once."""
-        return flat_labels(self.label_masks(masks, size), size)
-
-
 def _hash_fields(k) -> None:
     """Classifiers key caches, so each hashes its fields once; equality
     stays the dataclass's field-by-field comparison."""
@@ -48,7 +41,7 @@ def _stored_hash(k) -> int:
 
 
 @dataclass(frozen=True)
-class ExpressionClassifier(_Form):
+class ExpressionClassifier:
     expr: BoolExpr
 
     def __post_init__(self):
@@ -70,7 +63,7 @@ class ExpressionClassifier(_Form):
 
 
 @dataclass(frozen=True)
-class TableClassifier(_Form):
+class TableClassifier:
     """Labels for every instance of the full space, in canonical order."""
 
     domains: tuple[tuple[Value, ...], ...]
@@ -123,7 +116,7 @@ class TreeLeaf:
 
 
 @dataclass(frozen=True)
-class TreeClassifier(_Form):
+class TreeClassifier:
     """Binary tree whose internal nodes test feature = value."""
 
     nodes: tuple[Union[TreeNode, TreeLeaf], ...]
@@ -224,7 +217,8 @@ def equivalent_on(
 def to_table(k: Classifier, space: FeatureSpace) -> TableClassifier:
     """Tabulate any classifier over the full space."""
     domains = tuple(f.domain for f in space.features)
-    labels = k.rank_labels(rank_masks(domains), space.full_size())
+    size = space.full_size()
+    labels = flat_labels(k.label_masks(rank_masks(domains), size), size)
     return TableClassifier(domains, tuple(labels), k.class_count)
 
 

@@ -120,6 +120,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _load(args) -> tuple[FeatureSpace, ConstraintSet, Classifier, str]:

@@ -59,7 +59,6 @@ COVERAGE_CAP_BITS = 1 << 31
 
 
 class ExplanationKind(Enum):
-    WEAK_AXP = "WEAK_AXP"
     AXP = "AXP"
     PI = "PI"
 
@@ -83,13 +82,15 @@ class Decision:
 class Prime:
     """A constrained prime implicant of one label: the cube fixing
     ``values`` on ``features``, the ranks of F[C] it covers, and its
-    explanation as an AXp of each decision it covers."""
+    explanation as an AXp of each decision it covers, and as a
+    PI-explanation there (None when it is not one)."""
 
     label: int
     features: tuple[int, ...]  # ascending
     values: tuple[Value, ...]
     cov: int
     axp: Explanation
+    pi: Explanation | None
 
 
 def make_decision(cs: ConstrainedSpace, k: Classifier, x: Instance) -> Decision:
@@ -242,18 +243,27 @@ def primes(cs: ConstrainedSpace, k: Classifier, upto: int | None = None) -> list
     below it, which are every AXp of the decisions there.
 
     For label c they are P(g_c, L_c) with g_c = L_c | ~sel (_prime_cubes).
-    Each prime's coverage mask and explanation are built once, and the
-    space keeps the list, so an audit that reads every decision and its
-    verdict finds each prime once."""
+    Each prime's coverage mask, explanations and PI status are settled
+    once, and the space keeps the list, so every verdict on the space
+    reads one table. A request with ``upto`` on a space that already
+    holds every prime filters that list instead of searching again.
+
+    A prime is a PI-explanation at every decision it covers or at none,
+    so one filter settles it: t is one unless a prime t' covers strictly
+    more. Such a t' covers t's lowest rank, so only the primes covering
+    some prime's lowest rank are compared."""
+    every = cs.cached((primes, k, None))
+    if upto is not None and every is not None:
+        seed = within(cs, upto)
+        return [t for t in every if t.cov & seed]
 
     def make() -> list[Prime]:
         ones = (1 << cs.size) - 1
         seed = within(cs, upto)
-        found = []
+        cubes = []  # (features, values, label, coverage)
         bits = 0
         for c, lab in cs.label_masks(k).items():
             for cube in _prime_cubes(cs, lab | ones ^ cs.sel, lab & seed):
-                features = tuple(i for i, _ in cube)
                 cov = cs.sel
                 for i, v in cube:
                     cov &= cs.rank_masks[i][v]
@@ -263,9 +273,27 @@ def primes(cs: ConstrainedSpace, k: Classifier, upto: int | None = None) -> list
                         f"the prime implicants' coverage masks pass the cap of "
                         f"{COVERAGE_CAP_BITS} bits"
                     )
-                axp = _explanation(cs, features, ExplanationKind.AXP, cov)
-                found.append(Prime(c, features, tuple(v for _, v in cube), cov, axp))
-        return sorted(found, key=lambda p: _order(p.features))
+                features, values = zip(*cube) if cube else ((), ())
+                cubes.append((features, values, c, cov))
+        cubes.sort(key=lambda t: _order(t[0]))
+        lows = 0
+        for *_, cov in cubes:
+            lows |= cov & -cov
+        at: dict[int, list[tuple[int, int]]] = {}  # per lowest rank, (size, coverage)
+        for *_, cov in cubes:
+            m = cov & lows
+            while m:
+                r = m.bit_length() - 1
+                at.setdefault(r, []).append((cov.bit_count(), cov))
+                m ^= 1 << r
+        found = []
+        for features, values, c, cov in cubes:
+            axp = _explanation(cs, features, ExplanationKind.AXP, cov)
+            low, size = (cov & -cov).bit_length() - 1, axp.coverage_size
+            strict = any(n > size and cov & o == cov for n, o in at[low])
+            pi = None if strict else replace(axp, kind=ExplanationKind.PI)
+            found.append(Prime(c, features, values, cov, axp, pi))
+        return found
 
     return cs.memo((primes, k, upto), make)
 

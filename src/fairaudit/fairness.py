@@ -18,7 +18,7 @@ check vacuously true; callers can surface space_warnings().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from math import prod
@@ -27,23 +27,8 @@ from typing import Iterable, Iterator
 from . import explain, satcheck
 from .classifier import Classifier, TableClassifier
 from .errors import DocumentError, FtuViolationError, ModelSemanticError
-from .explain import (
-    Decision,
-    Explanation,
-    ExplanationKind,
-    Prime,
-    all_axps,
-    make_decision,
-    reasons,
-)
-from .model import (
-    ConstrainedSpace,
-    FeatureSpace,
-    Instance,
-    ScopeProfile,
-    bit_flags,
-    constraint_scope_profile,
-)
+from .explain import Decision, Explanation, Prime, all_axps, make_decision, reasons
+from .model import ConstrainedSpace, FeatureSpace, Instance, bit_flags
 
 
 class DecisionStatus(Enum):
@@ -75,7 +60,6 @@ class ClassifierVerdict:
     loose_violation: tuple[Instance, int] | None
     disentangled: bool
     disentangled_failure: Decision | None
-    scope_profile: ScopeProfile
 
 
 @dataclass(frozen=True)
@@ -124,60 +108,16 @@ def _verdict(
 def decision_verdicts(cs: ConstrainedSpace, k: Classifier) -> Iterator[DecisionVerdict]:
     """Every decision's verdict in canonical order, read off the primes
     that cover it: its AXps, and its PI-explanations among them."""
-    found, pis = _primes_with_pis(cs, k)
-    covering: dict[int, list[int]] = {}  # per rank, its primes' indices in order
-    for i, t in enumerate(found):
+    found = explain.primes(cs, k)
+    covering: dict[int, list[Prime]] = {}  # per rank, its primes in order
+    for t in found:
         for r in compress(range(cs.size), bit_flags(t.cov, cs.size)):
-            covering.setdefault(r, []).append(i)
+            covering.setdefault(r, []).append(t)
     # every decision has an AXp, so the covered ranks are F[C]'s
     for x, r in zip(cs.instances, sorted(covering), strict=True):
         at = covering[r]
-        d = Decision(k, x, found[at[0]].label)
-        axps = tuple(found[i].axp for i in at)
-        yield _verdict(d, axps, tuple(pis[i] for i in at if pis[i]))
-
-
-def _primes_with_pis(
-    cs: ConstrainedSpace, k: Classifier, upto: int | None = None
-) -> tuple[list[Prime], list[Explanation | None]]:
-    """explain.primes, and per prime its PI-explanation, None where it
-    is none.
-
-    A prime is a PI-explanation at every decision it covers or at none,
-    so one filter per label settles it: t is one unless a prime t' of its
-    label covers strictly more. Such a t' covers t's lowest rank, so only
-    the primes covering some prime's lowest rank are compared."""
-    found = explain.primes(cs, k, upto)
-    lows = 0
-    for t in found:
-        lows |= t.cov & -t.cov
-    at: dict[int, list[Prime]] = {}  # per lowest rank, the primes covering it
-    for t in found:
-        m = t.cov & lows
-        while m:
-            r = m.bit_length() - 1
-            at.setdefault(r, []).append(t)
-            m ^= 1 << r
-    pis = []
-    for t in found:
-        low, size = (t.cov & -t.cov).bit_length() - 1, t.axp.coverage_size
-        strict = any(
-            o.axp.coverage_size > size and t.cov & o.cov == t.cov for o in at[low]
-        )
-        pis.append(None if strict else replace(t.axp, kind=ExplanationKind.PI))
-    return found, pis
-
-
-def _pi_coverages(found: list[Prime], pis: list[Explanation | None]) -> tuple[int, int]:
-    """The ranks that some fair PI-explanation covers, and those that some
-    unfair one covers."""
-    fair_cov = unfair_cov = 0
-    for t, pi in zip(found, pis):
-        if pi and pi.fair:
-            fair_cov |= t.cov
-        elif pi:
-            unfair_cov |= t.cov
-    return fair_cov, unfair_cov
+        d = Decision(k, x, at[0].label)
+        yield _verdict(d, tuple(t.axp for t in at), tuple(t.pi for t in at if t.pi))
 
 
 def ftu_at(cs: ConstrainedSpace, k: Classifier, x: Instance) -> bool:
@@ -314,13 +254,9 @@ def check_disentangled(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, Decision | None]:
     """Whether every decision is disentangled, and else the least one
-    that is not; when FTU fails at x that one lies at or before x
-    (classifier_verdict), so the primes are found only up to x."""
-    holds, pair = check_ftu(cs, k, "exhaustive")
-    upto = None if holds else cs.rank(pair[0])
-    found = explain.primes(cs, k, upto)
-    tangled = explain.within(cs, upto) & ~_disentangled_mask(cs, k, found)
-    return not tangled, _first(cs, k, tangled)
+    that is not, as classifier_verdict finds them."""
+    v = classifier_verdict(cs, k)
+    return v.disentangled, v.disentangled_failure
 
 
 def _disentangled_mask(
@@ -392,8 +328,13 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
     """
     ftu, ftu_pair = check_ftu(cs, k, "exhaustive")
     upto = None if ftu else cs.rank(ftu_pair[0])
-    found, pis = _primes_with_pis(cs, k, upto)
-    fair_cov, unfair_cov = _pi_coverages(found, pis)
+    found = explain.primes(cs, k, upto)
+    fair_cov = unfair_cov = 0
+    for t in found:
+        if t.pi and t.pi.fair:
+            fair_cov |= t.cov
+        elif t.pi:
+            unfair_cov |= t.cov
     within = explain.within(cs, upto)
     unfair = within & ~fair_cov
     partly = within & unfair_cov
@@ -401,9 +342,7 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
     unfair_pi = None
     if partly:
         low = partly & -partly
-        unfair_pi = next(
-            pi for t, pi in zip(found, pis) if pi and not pi.fair and t.cov & low
-        )
+        unfair_pi = next(t.pi for t in found if t.pi and not t.pi.fair and t.cov & low)
     loose, loose_violation = check_loose(cs)
     out = ClassifierVerdict(
         ftu=ftu,
@@ -417,7 +356,6 @@ def classifier_verdict(cs: ConstrainedSpace, k: Classifier) -> ClassifierVerdict
         loose_violation=loose_violation,
         disentangled=not tangled,
         disentangled_failure=_first(cs, k, tangled),
-        scope_profile=constraint_scope_profile(cs.space, cs.constraints),
     )
     _assert_verdict_chain(out)
     return out

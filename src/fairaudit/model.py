@@ -334,6 +334,10 @@ class ConstrainedSpace:
             got = self._memo[key] = make()
         return got
 
+    def cached(self, key):
+        """The value cached under key, None when nothing made it yet."""
+        return self._memo.get(key)
+
     def instances_of_mask(self, mask: int) -> tuple[Instance, ...]:
         flags = bit_flags(mask & self.sel, self.size)  # F[C]'s ranks only
         return tuple(compress(product(*self._domains), flags))
@@ -442,6 +446,10 @@ def load_json(text: str):
         raise DocumentError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _space_from_obj(obj: dict) -> FeatureSpace:

@@ -32,14 +32,13 @@ from .explain import (
     make_decision,
     one_axp,
     pi_explanations,
+    primes,
     reasons,
 )
 from .fairness import (
     DecisionStatus,
     _disentangled,
     _disentangled_mask,
-    _pi_coverages,
-    _primes_with_pis,
     _verdict,
     build_completion,
     check_ftu,
@@ -75,9 +74,12 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
     profile = constraint_scope_profile(rm.space, rm.constraints)
     out: list[str] = []
 
-    # one walk over every decision; every per-decision check reads it
+    # one walk over every decision; every per-decision check reads it.
+    # It leaves every prime in cs, so the verdict, which seeds the primes
+    # when FTU fails, runs on a fresh space to search as an audit does
     every = tuple(decision_verdicts(cs, k))
-    verdict = classifier_verdict(cs, k)  # raises on chain violations
+    fresh = enumerate_space(rm.space, rm.constraints)
+    verdict = classifier_verdict(fresh, k)  # raises on chain violations
     if verdict.universal and not verdict.existential:
         out.append("universal fairness without existential fairness")
     if verdict.existential and not verdict.ftu:
@@ -93,7 +95,7 @@ def check_model(rm: RandomModel, rng: random.Random) -> list[str]:
     out += _check_loose_links(cs, k, verdict, flags_cs)
     out += _check_engines(cs, k, verdict.ftu)
     out += _check_one_axp(cs, k, rng)
-    out += _check_primes(cs, k, rng)
+    out += _check_primes(cs, k, verdict, rng)
     out += _check_unconstrained_pi(full, k, rng)
 
     if profile is not ScopeProfile.CROSSING:
@@ -189,43 +191,53 @@ def _check_one_axp(cs, k, rng: random.Random) -> list[str]:
     return []
 
 
-def _check_primes(cs, k, rng: random.Random) -> list[str]:
+def _check_primes(cs, k, verdict, rng: random.Random) -> list[str]:
     """At every decision, the primes covering it give the AXps and
-    PI-explanations one Berge search gives, the fair and unfair PI
-    coverages give the status Berge's PIs give, and the disentangled
-    mask's bit is _disentangled on Berge's AXps. The primes seeded up to
-    a random decision, as an audit seeds them when FTU fails there, are
-    the primes covering the decisions up to it, with the same PIs."""
+    PI-explanations one Berge search gives, and the disentangled mask's
+    bit is _disentangled on Berge's AXps. The verdict's least unfair,
+    not universally fair and not disentangled decisions, and its unfair
+    PI, are the ones Berge's PIs give. The primes seeded up to a random
+    decision on a fresh space, as an audit seeds them when FTU fails
+    there, are the primes covering the decisions up to it, with the same
+    PIs."""
     if not len(cs):
         return []
     upto = cs.rank(cs.instances[rng.randrange(len(cs))])
-    found, pis = _primes_with_pis(cs, k)
+    found = primes(cs, k)
     below = (2 << upto) - 1
-    seeded = list(zip(*_primes_with_pis(cs, k, upto)))
-    if seeded != [(t, pi) for t, pi in zip(found, pis) if t.cov & below]:
+    seeded = primes(enumerate_space(cs.space, cs.constraints), k, upto)
+    if seeded != [t for t in found if t.cov & below]:
         return [f"the primes seeded up to rank {upto} differ"]
-    fair_cov, unfair_cov = _pi_coverages(found, pis)
     disentangled = _disentangled_mask(cs, k, found)
+    failures = {}  # the least decision failing each, with its verdict
     for x in cs.instances:
         d = make_decision(cs, k, x)
         r = cs.rank(x)
         sets = _berge_axps(cs, d)
         axps, berge_pis = explained(cs, d, sets)
-        covering = [(t, pi) for t, pi in zip(found, pis) if t.cov >> r & 1]
-        if [t.features for t, _ in covering] != sets:
+        covering = [t for t in found if t.cov >> r & 1]
+        if [t.features for t in covering] != sets:
             return [f"prime cubes and Berge give different AXps at {x}"]
-        if [pi.features for _, pi in covering if pi] != [e.features for e in berge_pis]:
+        if [t.pi.features for t in covering if t.pi] != [e.features for e in berge_pis]:
             return [f"prime cubes and Berge give different PIs at {x}"]
-        if not fair_cov >> r & 1:
-            status = DecisionStatus.UNFAIR
-        elif unfair_cov >> r & 1:
-            status = DecisionStatus.EXISTENTIALLY_FAIR_ONLY
-        else:
-            status = DecisionStatus.UNIVERSALLY_FAIR
-        if status is not _verdict(d, axps, berge_pis).status:
-            return [f"the PI coverages give status {status.value} at {x}"]
-        if bool(disentangled >> r & 1) != _disentangled(cs, d, axps):
+        tangled = not _disentangled(cs, d, axps)
+        if bool(disentangled >> r & 1) == tangled:
             return [f"the disentangled mask is wrong at {x}"]
+        dv = _verdict(d, axps, berge_pis)
+        for notion, failed in (
+            ("existential", dv.status is DecisionStatus.UNFAIR),
+            ("universal", dv.status is not DecisionStatus.UNIVERSALLY_FAIR),
+            ("disentangled", tangled),
+        ):
+            if failed:
+                failures.setdefault(notion, dv)
+    unfair_pi = failures["universal"].unfair_pi if "universal" in failures else None
+    if verdict.universal_unfair_pi != unfair_pi:
+        return [f"the verdict's unfair PI {verdict.universal_unfair_pi} is not Berge's"]
+    for notion in ("existential", "universal", "disentangled"):
+        got = getattr(verdict, f"{notion}_failure")
+        if got != (failures[notion].decision if notion in failures else None):
+            return [f"the verdict's {notion} failure {got} is not Berge's"]
     return []
 
 

@@ -27,6 +27,12 @@ from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
 
 TABLE_LIMIT = 4096
+# the declared classes each get one formula per copy, and a table one
+# selector per copy with a pairwise at-most-one over them, so a table's
+# clauses grow with the square of the class count (1,200 classes took
+# 2 s and 277 MB on a 2-CPU host), and 10^9 would exhaust memory before
+# any clause exists
+CLASS_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,11 @@ def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
 
 def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula:
     """CNF satisfiable iff constrained FTU fails for the classifier."""
+    if k.class_count > CLASS_LIMIT:
+        raise CapacityError(
+            f"classifier with {k.class_count} classes exceeds the encoding "
+            f"limit {CLASS_LIMIT}"
+        )
     builder = _Builder()
     copy_x = _Copy(builder, cs, "x")
     copy_y = _Copy(builder, cs, "y")

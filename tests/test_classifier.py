@@ -142,9 +142,7 @@ def test_multiclass_tree(load_model):
     assert k.evaluate((True, 2)) == 2
 
 
-def test_rank_labels_can_be_read_twice(load_model):
-    from fairaudit.model import rank_masks
-
+def test_to_table_labels_equal_evaluate(load_model):
     loaded = load_model("spouses")  # m bool, n in {0,1,2}
     domains = [f.domain for f in loaded.space.features]
     nodes = [
@@ -155,9 +153,8 @@ def test_rank_labels_can_be_read_twice(load_model):
         {"id": 4, "label": 2},
     ]
     tree = parse_classifier({"form": "tree", "nodes": nodes}, loaded.space)
-    expected = [tree.evaluate(x) for x in itertools.product(*domains)]
-    assert set(expected) == {0, 1, 2}
-    for k in (tree, loaded.classifier, to_table(loaded.classifier, loaded.space)):
-        ranked = k.rank_labels(rank_masks(domains), len(expected))
-        first, second = list(ranked), list(ranked)
-        assert first == second == [k.evaluate(x) for x in itertools.product(*domains)]
+    table = to_table(tree, loaded.space)
+    assert set(table.labels) == {0, 1, 2}
+    for k in (tree, loaded.classifier, table):
+        got = to_table(k, loaded.space).labels
+        assert got == tuple(k.evaluate(x) for x in itertools.product(*domains))

@@ -167,9 +167,9 @@ class TestAudit:
 class TestOneAxpSearchPerDecision:
     """An audit asks the prime recursion once per label, seeded with the
     decisions of that label, and runs no Berge search; explain runs one
-    Berge search. With --per-decision on a model that fails FTU, the
-    verdict asks once more per label, about the decisions up to the FTU
-    witness only."""
+    Berge search. With --per-decision the listing's recursion over every
+    decision is the only one: on a model that fails FTU, the verdict
+    filters its primes to the decisions up to the FTU witness."""
 
     @pytest.fixture
     def searched(self, monkeypatch):
@@ -212,14 +212,19 @@ class TestOneAxpSearchPerDecision:
         run_json(capsys, "audit", fixture(name), "--per-decision")
         loaded = load_model(name)
         cs, k = loaded.constrained(), loaded.classifier
-        labels = list(cs.label_masks(k).values())
         assert searched["berge"] == []
-        # the listing's recursion over every decision, which the verdict
-        # reuses unless FTU fails
-        assert searched["seeds"][: len(labels)] == labels
-        holds, pair = fairness.check_ftu(cs, k)
-        seeded = [] if holds else [m & ((2 << cs.rank(pair[0])) - 1) for m in labels]
-        assert searched["seeds"][len(labels):] == seeded
+        assert searched["seeds"] == list(cs.label_masks(k).values())
+
+    @pytest.mark.parametrize(
+        "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
+    )
+    def test_check_disentangled_seeds_as_audit_does(self, capsys, searched, name):
+        run_json(capsys, "audit", fixture(name))
+        audit = list(searched["seeds"])
+        searched["seeds"].clear()
+        run_json(capsys, "check", fixture(name), "--what", "disentangled")
+        assert searched["seeds"] == audit
+        assert searched["berge"] == []
 
 
 class TestExplain:
@@ -569,6 +574,60 @@ class TestExitCodes:
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
         assert report["verdicts"]["fair"] is False
+
+    @pytest.mark.parametrize("target", ["model", "graph"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 200_000,
+            b"\xff\xfe" + '{"features": []}'.encode("utf-16-le"),
+            b"[" + b"1" * 5000 + b"]",
+        ],
+        ids=["nested-200000", "not-utf-8", "integer-of-5000-digits"],
+    )
+    def test_undecodable_document_is_exit_2(self, capsys, tmp_path, target, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if target == "model":
+            argv = ["audit", str(bad)]
+        else:
+            argv = ["ftci", fixture("ftci_leave"), str(bad)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("form", ["table", "tree"])
+    @pytest.mark.parametrize("command", ["audit", "export-cnf"])
+    def test_class_count_past_the_encoding_limit_is_exit_2(
+        self, capsys, tmp_path, form, command
+    ):
+        # the encoder allocates per declared class, so 10^9 is refused first
+        if form == "table":
+            rows = [[m, e, int(m)] for m in (False, True) for e in (False, True)]
+            k = {"form": "table", "rows": rows}
+        else:
+            k = {"form": "tree", "nodes": [self._TEST, *self._LEAVES]}
+        doc = tmp_path / "classes.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "features": [
+                        {"name": "m", "domain": [False, True], "protected": True},
+                        {"name": "e", "domain": [False, True]},
+                    ],
+                    "classifier": {**k, "classes": 10**9},
+                }
+            )
+        )
+        if command == "audit":
+            argv = ["audit", str(doc), "--engine", "search"]
+        else:
+            argv = ["export-cnf", str(doc), str(tmp_path / "out.cnf")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "classes" in err
 
     _TEST = {"id": 0, "feature": "e", "value": True, "if_true": 1, "if_false": 2}
     _LEAVES = [{"id": 1, "label": 1}, {"id": 2, "label": 0}]

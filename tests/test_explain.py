@@ -363,15 +363,15 @@ def both_engines(cs, k, upto=None):
     """Per decision at a rank up to upto (every decision by default), its
     AXp and PI feature sets from the prime cubes covering it, and from
     one Berge search."""
-    found, pis = fairness._primes_with_pis(cs, k, upto)
+    found = explain.primes(cs, k, upto)
     primes, berge = [], []
     for x in cs.instances:
         r = cs.rank(x)
         if upto is not None and r > upto:
             break
-        covering = [(t, pi) for t, pi in zip(found, pis) if t.cov >> r & 1]
-        pis_here = [pi.features for _, pi in covering if pi]
-        primes.append(([t.features for t, _ in covering], pis_here))
+        covering = [t for t in found if t.cov >> r & 1]
+        pis_here = [t.pi.features for t in covering if t.pi]
+        primes.append(([t.features for t in covering], pis_here))
         d = make_decision(cs, k, x)
         sets = explain._berge_axps(cs, d)
         berge.append((sets, [e.features for e in explain.explained(cs, d, sets)[1]]))
