@@ -299,10 +299,7 @@ def _parse_table(obj: dict, space: FeatureSpace) -> TableClassifier:
         if x not in mapping:
             raise DocumentError(f"table misses a row for instance {x!r}")
         labels.append(mapping[x])
-    class_count = obj.get("classes", max(labels, default=0) + 1)
-    if type(class_count) is not int:
-        raise DocumentError("'classes' must be an integer")
-    return TableClassifier(domains, tuple(labels), max(class_count, 2))
+    return TableClassifier(domains, tuple(labels), _class_count(obj, labels))
 
 
 def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
@@ -341,10 +338,20 @@ def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
         nodes.append(
             TreeNode(item["id"], feat.index, value, item["if_true"], item["if_false"])
         )
-    class_count = obj.get("classes", max(labels, default=0) + 1)
-    if type(class_count) is not int:
+    return TreeClassifier(tuple(nodes), raw[0]["id"], _class_count(obj, labels))
+
+
+def _class_count(obj: dict, labels: list[int]) -> int:
+    """The declared ``classes``, at least 2; without one, one more than
+    the highest label, and 2 when every label is 0."""
+    if "classes" not in obj:
+        return max(max(labels, default=0) + 1, 2)
+    count = obj["classes"]
+    if type(count) is not int:
         raise DocumentError("'classes' must be an integer")
-    return TreeClassifier(tuple(nodes), raw[0]["id"], max(class_count, 2))
+    if count < 2:
+        raise DocumentError(f"'classes' must be at least 2, got {count}")
+    return count
 
 
 def classifier_to_json(k: Classifier, space: FeatureSpace) -> dict:

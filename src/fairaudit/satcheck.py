@@ -3,13 +3,16 @@
 encode_ftu_counterexample builds a CNF over two instance copies x and y
 that is satisfiable exactly when some pair in the constrained space
 agrees on the unprotected features but receives different labels.
-search() is a deterministic chronological-backtracking solver with unit
-propagation; it is the internal engine, and export_dimacs lets any
-external solver answer the same query.
+search() is the internal engine, a deterministic conflict-driven
+clause-learning (CDCL) solver: two watched literals, 1-UIP learning,
+non-chronological backjumping and an activity order on decisions. The
+same formula, searched twice, gives the same model and decision count.
+export_dimacs lets any external solver answer the same query.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -273,102 +276,274 @@ def _encode_table_labels(
 
 
 def search(formula: CnfFormula) -> SearchResult:
-    """Deterministic DPLL: unit propagation plus chronological
-    backtracking, branching on the lowest unassigned variable with
-    false first. Only clauses containing a freshly falsified literal
-    are re-examined. Models are total and checked against every clause
-    before being returned."""
+    """Decide the formula by deterministic CDCL (see _Solver): unit
+    propagation over two watched literals, 1-UIP clause learning with
+    non-chronological backjumping, and decisions that set false the
+    unassigned variable of highest activity, lowest index on ties.
+    Repeated literals are merged and tautologies dropped first.
+    ``nodes`` counts decisions. A model is total and checked against
+    every original clause before it is returned."""
     start = time.perf_counter()
-    nvars = formula.variable_count
-    clauses = formula.clauses
-    # occurrence lists indexed by literal + nvars
-    occurs: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            occurs[lit + nvars].append(ci)
-    assign: list[bool | None] = [None] * (nvars + 1)
-    trail: list[int] = []
-    decisions: list[tuple[int, bool, int]] = []  # (var, tried_true, trail_len)
-    nodes = 0
-    qhead = 0
-    cursor = 1
+    solver = _Solver(formula)
+    if not solver.solve():
+        return SearchResult(False, None, solver.nodes, time.perf_counter() - start)
+    value = solver.value
+    model = {v: value[v] == 1 for v in range(1, formula.variable_count + 1)}
+    for clause in formula.clauses:
+        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+            raise AssertionError("search returned a non-model")
+    return SearchResult(True, model, solver.nodes, time.perf_counter() - start)
 
-    def propagate() -> bool:
-        """Process newly assigned vars on the trail; True on conflict."""
-        nonlocal qhead
-        while qhead < len(trail):
-            var = trail[qhead]
-            qhead += 1
-            falsified = -var if assign[var] else var
-            for ci in occurs[falsified + nvars]:
-                unit = 0
-                open_count = 0
-                satisfied = False
-                for lit in clauses[ci]:
-                    v = assign[lit if lit > 0 else -lit]
-                    if v is None:
-                        open_count += 1
-                        if open_count > 1:
-                            break
-                        unit = lit
-                    elif v == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied or open_count > 1:
+
+class _Solver:
+    """Conflict-driven clause learning over the formula's own signed
+    literals. Every per-literal array has 2n + 1 slots and is indexed by
+    the literal itself, so l and -l (a negative index, counted from the
+    end) never share a slot. Per-variable facts (level, reason, analysis
+    mark) sit in the slot of the variable's true literal.
+
+    * Binary clauses live in implication lists: ``implied[l]`` holds the
+      literals that l being false forces.
+    * Longer clauses are kept as the formula's own tuples, learned ones
+      appended, in ``clauses``. Clause i watches two of its literals,
+      ``watch[i]`` and ``spare[i]``; a watch that turns false moves to
+      ``spare[i]`` and is replaced there by a literal not false, if any.
+      ``watches[l]`` holds the numbers of the clauses that watch l,
+      revisited when l turns false.
+    * A literal's reason is None for a decision or a level-0 unit, the
+      other literal of a binary clause, or the longer clause that forced
+      it.
+    * A conflict is resolved back to its first unique implication point
+      (1-UIP). The search jumps back to the second-highest level in the
+      learned clause, where the clause asserts its first literal.
+    * Each decision sets false the unassigned variable of highest
+      activity, ties to the lowest index. Activities are bumped for
+      every variable a conflict analysis meets and decay by raising the
+      bump; a heap of (-activity, variable) entries, pruned lazily,
+      picks the next one.
+    """
+
+    DECAY = 0.95
+
+    def __init__(self, formula: CnfFormula):
+        n = formula.variable_count
+        self.n = n
+        self.value = [0] * (2 * n + 1)  # 1 true, -1 false, 0 unassigned
+        self.level = [0] * (2 * n + 1)
+        self.reason: list = [None] * (2 * n + 1)
+        self.seen = [False] * (2 * n + 1)
+        self.implied: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.clauses: list[tuple[int, ...]] = []
+        self.watch: list[int] = []
+        self.spare: list[int] = []
+        self.trail: list[int] = []
+        self.limits: list[int] = []  # trail length at each decision
+        self.qhead = 0
+        self.activity = [0.0] * (n + 1)
+        self.bump = 1.0
+        self.heap = [(0.0, v) for v in range(1, n + 1)]
+        self.queued = [True] * (n + 1)  # the heap holds an entry at the current activity
+        self.nodes = 0
+        self.units: list[int] = []
+        for clause in formula.clauses:
+            if len(set(map(abs, clause))) < len(clause):
+                # repeated literals are merged; a clause with both l and
+                # -l always holds and is dropped
+                clause = tuple(dict.fromkeys(clause))
+                if len(clause) > 1 and len(set(map(abs, clause))) < len(clause):
                     continue
-                if open_count == 0:
-                    return True
-                uv = unit if unit > 0 else -unit
-                assign[uv] = unit > 0
-                trail.append(uv)
-        return False
+            if len(clause) == 1:
+                self.units.append(clause[0])
+            else:
+                self._attach(clause)
 
-    def undo_to(length: int) -> None:
-        nonlocal cursor, qhead
-        while len(trail) > length:
-            v = trail.pop()
-            assign[v] = None
-            if v < cursor:
-                cursor = v
-        qhead = len(trail)
+    def _attach(self, clause: tuple[int, ...]):
+        """Watch the first two literals of a clause of two or more; the
+        reason to record when the clause forces its first literal."""
+        a, b = clause[0], clause[1]
+        if len(clause) == 2:
+            self.implied[a].append(b)
+            self.implied[b].append(a)
+            return b
+        number = len(self.clauses)
+        self.clauses.append(clause)
+        self.watch.append(a)
+        self.spare.append(b)
+        self.watches[a].append(number)
+        self.watches[b].append(number)
+        return clause
 
-    for clause in clauses:  # seed unit clauses
-        if len(clause) == 1:
-            lit = clause[0]
-            var = lit if lit > 0 else -lit
-            if assign[var] is None:
-                assign[var] = lit > 0
-                trail.append(var)
-            elif assign[var] != (lit > 0):
-                return SearchResult(False, None, nodes, time.perf_counter() - start)
+    def solve(self) -> bool:
+        value = self.value
+        for lit in self.units:
+            if value[lit] == -1:
+                return False
+            if not value[lit]:
+                self._assign(lit, None)
+        while True:
+            conflict = self._propagate()
+            if conflict is not None:
+                if not self.limits:
+                    return False
+                learnt = self._analyze(conflict)
+                self._backjump(self.level[-learnt[1]] if len(learnt) > 1 else 0)
+                self._assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else None)
+                continue
+            var = self._next_variable()
+            if var is None:
+                return True
+            self.nodes += 1
+            self.limits.append(len(self.trail))
+            self._assign(-var, None)
 
-    while True:
-        conflict = propagate()
-        if conflict:
-            while decisions and decisions[-1][1]:
-                var, _, length = decisions.pop()
-                undo_to(length)
-            if not decisions:
-                return SearchResult(False, None, nodes, time.perf_counter() - start)
-            var, _, length = decisions.pop()
-            undo_to(length)
-            decisions.append((var, True, length))
-            assign[var] = True
-            trail.append(var)
-            nodes += 1
-            continue
-        while cursor <= nvars and assign[cursor] is not None:
-            cursor += 1
-        if cursor > nvars:
-            model = {v: bool(assign[v]) for v in range(1, nvars + 1)}
-            for clause in clauses:
-                if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-                    raise AssertionError("search returned a non-model")
-            return SearchResult(True, model, nodes, time.perf_counter() - start)
-        decisions.append((cursor, False, len(trail)))
-        assign[cursor] = False
-        trail.append(cursor)
-        nodes += 1
+    def _assign(self, lit: int, reason) -> None:
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.level[lit] = len(self.limits)
+        self.reason[lit] = reason
+        self.trail.append(lit)
+
+    def _propagate(self) -> tuple[int, ...] | None:
+        """Assign what the trail forces; return a falsified clause or None."""
+        value, level, reason = self.value, self.level, self.reason
+        implied, watches, trail = self.implied, self.watches, self.trail
+        clauses, watch, spare = self.clauses, self.watch, self.spare
+        depth = len(self.limits)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false = -trail[qhead]
+            qhead += 1
+            for q in implied[false]:
+                vq = value[q]
+                if vq == 1:
+                    continue
+                if vq == -1:
+                    self.qhead = len(trail)
+                    return (q, false)
+                value[q] = 1
+                value[-q] = -1
+                level[q] = depth
+                reason[q] = false
+                trail.append(q)
+            ws = watches[false]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                c = ws[i]
+                i += 1
+                other = watch[c]
+                if other == false:
+                    other = watch[c] = spare[c]
+                    spare[c] = false
+                if value[other] == 1:
+                    ws[j] = c
+                    j += 1
+                    continue
+                for lit in clauses[c]:
+                    if value[lit] != -1 and lit != other:
+                        spare[c] = lit
+                        watches[lit].append(c)
+                        break
+                else:
+                    ws[j] = c
+                    j += 1
+                    if value[other] == -1:
+                        del ws[j:i]
+                        self.qhead = len(trail)
+                        return clauses[c]
+                    value[other] = 1
+                    value[-other] = -1
+                    level[other] = depth
+                    reason[other] = clauses[c]
+                    trail.append(other)
+            del ws[j:]
+        self.qhead = qhead
+        return None
+
+    def _analyze(self, conflict: tuple[int, ...]) -> tuple[int, ...]:
+        """The 1-UIP clause of a conflict: the asserting literal first,
+        then, when there are more, one of the highest remaining level."""
+        level, reason, seen, trail = self.level, self.reason, self.seen, self.trail
+        activity, queued, bump = self.activity, self.queued, self.bump
+        depth = len(self.limits)
+        learnt = [0]
+        pending = 0  # marked literals of the conflict level not yet resolved
+        index = len(trail) - 1
+        lits = conflict
+        t = 0  # the literal whose reason is resolved; a reason holds it true
+        while True:
+            for q in lits:
+                if q == t:
+                    continue
+                if not seen[-q] and level[-q] > 0:
+                    seen[-q] = True
+                    v = abs(q)
+                    activity[v] += bump
+                    queued[v] = False
+                    if level[-q] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[trail[index]]:
+                index -= 1
+            t = trail[index]
+            index -= 1
+            seen[t] = False
+            pending -= 1
+            if not pending:
+                break
+            r = reason[t]
+            lits = (r,) if r.__class__ is int else r
+        learnt[0] = -t
+        for q in learnt[1:]:
+            seen[-q] = False
+        if len(learnt) > 2:
+            top = max(range(1, len(learnt)), key=lambda i: level[-learnt[i]])
+            learnt[1], learnt[top] = learnt[top], learnt[1]
+        self.bump = bump / self.DECAY
+        if self.bump > 1e100:
+            for v in range(1, self.n + 1):
+                activity[v] *= 1e-100
+            self.bump *= 1e-100
+            self._rebuild_heap()
+        return tuple(learnt)
+
+    def _backjump(self, depth: int) -> None:
+        value, activity, queued, heap = self.value, self.activity, self.queued, self.heap
+        mark = self.limits[depth]
+        for lit in self.trail[mark:]:
+            value[lit] = value[-lit] = 0
+            v = abs(lit)
+            if not queued[v]:
+                heapq.heappush(heap, (-activity[v], v))
+                queued[v] = True
+        del self.trail[mark:]
+        del self.limits[depth:]
+        self.qhead = mark
+
+    def _next_variable(self) -> int | None:
+        """The unassigned variable of highest activity, lowest index on
+        ties; None when every variable is assigned."""
+        if len(self.heap) > 2 * self.n + 64:
+            self._rebuild_heap()
+        heap, activity, queued, value = self.heap, self.activity, self.queued, self.value
+        while heap:
+            key, v = heapq.heappop(heap)
+            if -key != activity[v]:
+                continue  # stale: bumped since it was pushed
+            queued[v] = False
+            if not value[v]:
+                return v
+        return None
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        value, activity, queued = self.value, self.activity, self.queued
+        self.heap[:] = [(-activity[v], v) for v in range(1, self.n + 1) if not value[v]]
+        heapq.heapify(self.heap)
+        for v in range(1, self.n + 1):
+            queued[v] = not value[v]
 
 
 def decode_model(

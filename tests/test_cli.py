@@ -73,12 +73,14 @@ class TestAudit:
         assert code_ftu == 0
         assert code_exist == 1
 
-    def test_search_engine_matches_exhaustive(self, capsys):
-        for name in ("adopt", "xor_link", "work_from_home"):
-            a, ra = run_json(capsys, "audit", fixture(name), "--engine", "search")
-            b, rb = run_json(capsys, "audit", fixture(name), "--engine", "exhaustive")
-            assert a == b
-            assert ra["verdicts"] == rb["verdicts"]
+    def test_search_engine_matches_exhaustive(self, capsys, fixtures_dir):
+        paths = sorted(fixtures_dir.glob("*.json"))
+        assert len(paths) >= 18
+        for path in paths:
+            a, ra = run_json(capsys, "audit", str(path), "--engine", "search")
+            b, rb = run_json(capsys, "audit", str(path), "--engine", "exhaustive")
+            assert a == b, path.name
+            assert ra["verdicts"] == rb["verdicts"], path.name
 
     def test_per_decision_listing(self, capsys, load_model, fixtures_dir):
         code, report = run_json(
@@ -597,17 +599,7 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("form", ["table", "tree"])
-    @pytest.mark.parametrize("command", ["audit", "export-cnf"])
-    def test_class_count_past_the_encoding_limit_is_exit_2(
-        self, capsys, tmp_path, form, command
-    ):
-        # the encoder allocates per declared class, so 10^9 is refused first
-        if form == "table":
-            rows = [[m, e, int(m)] for m in (False, True) for e in (False, True)]
-            k = {"form": "table", "rows": rows}
-        else:
-            k = {"form": "tree", "nodes": [self._TEST, *self._LEAVES]}
+    def _two_feature_document(self, tmp_path, k: dict) -> Path:
         doc = tmp_path / "classes.json"
         doc.write_text(
             json.dumps(
@@ -616,9 +608,26 @@ class TestExitCodes:
                         {"name": "m", "domain": [False, True], "protected": True},
                         {"name": "e", "domain": [False, True]},
                     ],
-                    "classifier": {**k, "classes": 10**9},
+                    "classifier": k,
                 }
             )
+        )
+        return doc
+
+    def _classifier(self, form: str, label=int) -> dict:
+        if form == "table":
+            rows = [[m, e, label(m)] for m in (False, True) for e in (False, True)]
+            return {"form": "table", "rows": rows}
+        return {"form": "tree", "nodes": [self._TEST, *self._LEAVES]}
+
+    @pytest.mark.parametrize("form", ["table", "tree"])
+    @pytest.mark.parametrize("command", ["audit", "export-cnf"])
+    def test_class_count_past_the_encoding_limit_is_exit_2(
+        self, capsys, tmp_path, form, command
+    ):
+        # the encoder allocates per declared class, so 10^9 is refused first
+        doc = self._two_feature_document(
+            tmp_path, {**self._classifier(form), "classes": 10**9}
         )
         if command == "audit":
             argv = ["audit", str(doc), "--engine", "search"]
@@ -628,6 +637,28 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "classes" in err
+
+    @pytest.mark.parametrize("form", ["table", "tree"])
+    @pytest.mark.parametrize("classes", [-5, 0, 1])
+    def test_declared_class_count_below_two_is_exit_2(
+        self, capsys, tmp_path, form, classes
+    ):
+        doc = self._two_feature_document(
+            tmp_path, {**self._classifier(form), "classes": classes}
+        )
+        code, out, err = run(capsys, "audit", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "classes" in err
+
+    def test_constant_table_without_declared_classes_is_audited(self, capsys, tmp_path):
+        # every label 0 and no "classes": read as two classes, one unused
+        doc = self._two_feature_document(
+            tmp_path, self._classifier("table", label=lambda m: 0)
+        )
+        code, report = run_json(capsys, "audit", str(doc), "--notion", "universal")
+        assert code == 0
+        assert report["verdicts"]["fair"] is True
 
     _TEST = {"id": 0, "feature": "e", "value": True, "if_true": 1, "if_false": 2}
     _LEAVES = [{"id": 1, "label": 1}, {"id": 2, "label": 0}]

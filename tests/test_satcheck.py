@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     CnfFormula,
@@ -18,13 +20,100 @@ from fairaudit import (
     search,
     unconstrained,
 )
+from fairaudit import satcheck
 from fairaudit.boolexpr import evaluate_mask
-from fairaudit.classifier import expression_to_tree, parse_classifier, to_table
-from fairaudit.model import Feature, FeatureSpace, parse_document, rank_masks
+from fairaudit.classifier import (
+    TableClassifier,
+    expression_to_tree,
+    parse_classifier,
+    to_table,
+)
+from fairaudit.model import (
+    Constraint,
+    ConstraintSet,
+    Feature,
+    FeatureSpace,
+    parse_document,
+    rank_masks,
+)
 from fairaudit.randmodels import dnf_to_expr, eval_dnf, random_dnf, random_model
 from fairaudit.satcheck import TABLE_LIMIT, _class_formulas
 
 B = (False, True)
+
+
+def truth_mask(nvars: int, clauses) -> int:
+    """Bit a set when assignment a (variable v true iff bit v - 1 of a)
+    satisfies every clause."""
+    full = (1 << (1 << nvars)) - 1
+    true_on = [0] + [
+        sum(1 << a for a in range(1 << nvars) if a >> (v - 1) & 1)
+        for v in range(1, nvars + 1)
+    ]
+    sat = full
+    for clause in clauses:
+        holds = 0
+        for lit in clause:
+            holds |= true_on[lit] if lit > 0 else full ^ true_on[-lit]
+        sat &= holds
+    return sat
+
+
+def random_3sat(rng: random.Random) -> CnfFormula:
+    """8-12 variables, three distinct variables per clause, 4-5 clauses
+    per variable: near the satisfiability threshold, where a search
+    meets conflicts at several levels."""
+    nvars = rng.randint(8, 12)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3))
+        for _ in range(round(nvars * rng.uniform(4.0, 5.0)))
+    )
+    return CnfFormula(nvars, clauses, {})
+
+
+def assert_matches_truth_table(formula: CnfFormula) -> bool:
+    sat = truth_mask(formula.variable_count, formula.clauses)
+    result = search(formula)
+    assert result.satisfiable == bool(sat)
+    if result.satisfiable:
+        a = sum(result.model[v] << (v - 1) for v in range(1, formula.variable_count + 1))
+        assert sat >> a & 1
+    return result.satisfiable
+
+
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """Every pigeon in some hole, no hole shared: UNSAT when pigeons > holes."""
+    var = lambda p, h: p * holes + h + 1
+    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(pigeons)]
+    for h in range(holes):
+        for p, q in itertools.combinations(range(pigeons), 2):
+            clauses.append((-var(p, h), -var(q, h)))
+    return CnfFormula(pigeons * holes, tuple(clauses), {})
+
+
+def ftu_shaped_formula(seed: int, fair: bool) -> CnfFormula:
+    """The FTU query of a random table over 9 boolean features, every
+    fourth protected, with a clause on f0, f4 and on consecutive
+    unprotected pairs; an unfair table flips one label where f8 holds."""
+    rng = random.Random(seed)
+    space = FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(9)])
+    unprotected = sorted(space.unprotected)
+    sign = lambda name: name if rng.random() < 0.5 else f"(not {name})"
+    texts = [f"(or {sign('f0')} {sign('f4')})"] + [
+        f"(or {sign(f'f{a}')} {sign(f'f{b}')})"
+        for a, b in zip(unprotected[0::2], unprotected[1::2])
+    ]
+    constraints = ConstraintSet(tuple(Constraint(parse_expr(t, space)) for t in texts))
+    by_projection = {
+        p: rng.randrange(2) for p in itertools.product(B, repeat=len(unprotected))
+    }
+    twist = next(iter(by_projection))
+    labels = []
+    for x in itertools.product(B, repeat=9):
+        p = tuple(x[i] for i in unprotected)
+        labels.append(by_projection[p] ^ (not fair and p == twist and x[8]))
+    k = TableClassifier((B,) * 9, tuple(labels), 2)
+    return encode_ftu_counterexample(enumerate_space(space, constraints), k)
 
 
 class TestSearch:
@@ -58,6 +147,73 @@ class TestSearch:
         # two pigeons, one hole; small but forces real backtracking
         clauses = ((1,), (2,), (-1, -2))
         assert not search(CnfFormula(2, clauses, {})).satisfiable
+
+    @pytest.mark.parametrize("pigeons", [5, 6])
+    def test_pigeonhole_past_the_holes_is_unsat(self, pigeons):
+        result = search(pigeonhole(pigeons, pigeons - 1))
+        assert not result.satisfiable
+        assert result.nodes > 0
+
+    def test_pigeonhole_with_enough_holes_is_sat(self):
+        assert_matches_truth_table(pigeonhole(4, 4))
+
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_ftu_shaped_search_is_deterministic(self, fair):
+        formula = ftu_shaped_formula(7, fair)
+        first, second = search(formula), search(formula)
+        assert first.satisfiable == (not fair)
+        assert first.model == second.model
+        assert first.nodes == second.nodes
+        assert first.nodes > 0
+
+    def test_repeated_and_complementary_literals_are_normalised(self):
+        # 1 1 -2 is the clause 1 -2; 1 -1 always holds and forces nothing
+        result = search(parse_dimacs("p cnf 2 2\n1 1 -2 0\n-1 0\n"))
+        assert result.satisfiable and result.model == {1: False, 2: False}
+        assert not search(parse_dimacs("p cnf 2 3\n1 1 -2 0\n-1 0\n2 2 0\n")).satisfiable
+        result = search(parse_dimacs("p cnf 1 2\n1 -1 0\n-1 0\n"))
+        assert result.satisfiable and result.model == {1: False}
+        result = search(parse_dimacs("p cnf 3 2\n1 -1 2 0\n-2 3 -2 3 0\n"))
+        assert result.satisfiable and result.model == {1: False, 2: False, 3: False}
+
+    def test_random_formulas_with_repeated_literals_match_truth_tables(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            nvars = rng.randint(3, 8)
+            lines = [
+                " ".join(
+                    str(rng.choice((1, -1)) * rng.randint(1, nvars))
+                    for _ in range(rng.randint(1, 5))
+                )
+                + " 0"
+                for _ in range(rng.randint(nvars, 5 * nvars))
+            ]
+            text = f"p cnf {nvars} {len(lines)}\n" + "\n".join(lines) + "\n"
+            assert_matches_truth_table(parse_dimacs(text))
+
+
+class TestLearning:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_3sat_near_the_threshold_matches_truth_tables(self, seed):
+        assert_matches_truth_table(random_3sat(random.Random(seed)))
+
+    def test_conflicts_learn_and_jump_back_past_levels(self, monkeypatch):
+        jumps = []
+        backjump = satcheck._Solver._backjump
+
+        def spy(solver, depth):
+            jumps.append(len(solver.limits) - depth)
+            backjump(solver, depth)
+
+        monkeypatch.setattr(satcheck._Solver, "_backjump", spy)
+        rng = random.Random(2)
+        answers = [assert_matches_truth_table(random_3sat(rng)) for _ in range(40)]
+        assert 5 <= sum(answers) <= 35
+        # each learned clause asserts at the level it jumps to; some jump
+        # back over more than the level of the conflict
+        assert len(jumps) > 100
+        assert max(jumps) > 1
 
 
 class TestEncoding:
