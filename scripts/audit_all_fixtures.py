@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Audit every fixture model and compare against (or refresh) the
-report snapshots in fixtures/snapshots/, and pin the bytes that
-`fairaudit export-cnf` writes for each fixture by their sha256 in
-fixtures/snapshots/export_cnf.sha256.
+report snapshots in fixtures/snapshots/, and pin the bytes of the FTU
+query's CNF by their sha256: the file `fairaudit export-cnf` writes for
+each fixture in fixtures/snapshots/export_cnf.sha256, and the DIMACS
+text of 300 seeded random models (up to 7 features, domains up to 5) in
+fixtures/snapshots/encode_random.sha256.
 
     python3 scripts/audit_all_fixtures.py            # compare
     python3 scripts/audit_all_fixtures.py --write    # regenerate
@@ -14,16 +16,22 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 from fairaudit.cli import main as cli_main
+from fairaudit.model import enumerate_space
+from fairaudit.randmodels import random_model
+from fairaudit.satcheck import encode_ftu_counterexample, export_dimacs
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 SNAPSHOTS = FIXTURES / "snapshots"
 CNF_DIGESTS = SNAPSHOTS / "export_cnf.sha256"
+RANDOM_DIGESTS = SNAPSHOTS / "encode_random.sha256"
+RANDOM_MODELS = 300
 
 
 def audit_report(path: Path) -> str:
@@ -44,6 +52,32 @@ def export_cnf_digest(path: Path) -> str:
         if code != 0:
             raise RuntimeError(f"export-cnf of {path.name} exited {code}")
         return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def random_encoding_digests() -> str:
+    """One line per seed: the sha256 of the DIMACS text of the FTU query
+    of `random_model(random.Random(seed))`. Random models reach what the
+    fixtures barely do: `le`/`lt`/`implies`/`iff`, multi-valued domains
+    and subformulas shared by a constraint and a class formula."""
+    lines = []
+    for seed in range(RANDOM_MODELS):
+        m = random_model(random.Random(seed), max_features=7, max_domain=5)
+        cs = enumerate_space(m.space, m.constraints)
+        text = export_dimacs(encode_ftu_counterexample(cs, m.classifier))
+        lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  seed {seed}\n")
+    return "".join(lines)
+
+
+def compare_digests(path: Path, text: str, write: bool, stale: list[str]) -> None:
+    if write:
+        path.write_text(text)
+        print(f"wrote {path.relative_to(ROOT)}")
+    elif not path.exists():
+        stale.append(f"{path.name}: missing (run with --write)")
+    elif path.read_text() != text:
+        stale.append(f"{path.name}: CNF output drifted")
+    else:
+        print(f"ok {path.relative_to(ROOT)}")
 
 
 def main() -> int:
@@ -67,16 +101,8 @@ def main() -> int:
             stale.append(f"{snap.name}: drifted from the current report")
         else:
             print(f"ok {snap.relative_to(ROOT)}")
-    digest_text = "".join(digests)
-    if args.write:
-        CNF_DIGESTS.write_text(digest_text)
-        print(f"wrote {CNF_DIGESTS.relative_to(ROOT)}")
-    elif not CNF_DIGESTS.exists():
-        stale.append(f"{CNF_DIGESTS.name}: missing (run with --write)")
-    elif CNF_DIGESTS.read_text() != digest_text:
-        stale.append(f"{CNF_DIGESTS.name}: export-cnf output drifted")
-    else:
-        print(f"ok {CNF_DIGESTS.relative_to(ROOT)}")
+    compare_digests(CNF_DIGESTS, "".join(digests), args.write, stale)
+    compare_digests(RANDOM_DIGESTS, random_encoding_digests(), args.write, stale)
     for line in stale:
         print(f"STALE {line}")
     return 1 if stale else 0

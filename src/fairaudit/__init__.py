@@ -66,6 +66,7 @@ from .satcheck import (
     CnfFormula,
     SearchResult,
     decode_model,
+    encode_ftu,
     encode_ftu_counterexample,
     export_dimacs,
     parse_dimacs,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, is_, or_
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ExprSyntaxError, ModelSemanticError
@@ -405,14 +405,15 @@ def pretty(expr: BoolExpr, names: Sequence[str]) -> str:
 
 
 def simplify(expr: BoolExpr) -> BoolExpr:
-    """Constant folding only; never changes the value on any instance."""
+    """Constant folding only; never changes the value on any instance.
+    A subformula with nothing to fold is returned as it is, not rebuilt."""
     if isinstance(expr, (Const, Var, Eq, Le, Lt)):
         return expr
     if isinstance(expr, Not):
         arg = simplify(expr.arg)
         if isinstance(arg, Const):
             return Const(not arg.value)
-        return Not(arg)
+        return expr if arg is expr.arg else Not(arg)
     if isinstance(expr, (And, Or)):
         absorbing = isinstance(expr, Or)
         args = []
@@ -427,6 +428,8 @@ def simplify(expr: BoolExpr) -> BoolExpr:
             return Const(not absorbing)
         if len(args) == 1:
             return args[0]
+        if len(args) == len(expr.args) and all(map(is_, args, expr.args)):
+            return expr
         return (Or if absorbing else And)(tuple(args))
     if isinstance(expr, Implies):
         lhs, rhs = simplify(expr.lhs), simplify(expr.rhs)
@@ -434,12 +437,12 @@ def simplify(expr: BoolExpr) -> BoolExpr:
             return rhs if lhs.value else Const(True)
         if isinstance(rhs, Const):
             return Const(True) if rhs.value else simplify(Not(lhs))
-        return Implies(lhs, rhs)
+        return expr if lhs is expr.lhs and rhs is expr.rhs else Implies(lhs, rhs)
     if isinstance(expr, Iff):
         lhs, rhs = simplify(expr.lhs), simplify(expr.rhs)
         if isinstance(lhs, Const):
             return rhs if lhs.value else simplify(Not(rhs))
         if isinstance(rhs, Const):
             return lhs if rhs.value else simplify(Not(lhs))
-        return Iff(lhs, rhs)
+        return expr if lhs is expr.lhs and rhs is expr.rhs else Iff(lhs, rhs)
     raise TypeError(f"not a BoolExpr: {expr!r}")

@@ -1,8 +1,15 @@
 """Propositional counterexample search for constrained FTU.
 
-encode_ftu_counterexample builds a CNF over two instance copies x and y
-that is satisfiable exactly when some pair in the constrained space
-agrees on the unprotected features but receives different labels.
+encode_ftu builds a CNF over two instance copies x and y that is
+satisfiable exactly when some pair satisfying the constraints agrees on
+the unprotected features but receives different labels; it reads the
+feature space and the constraints only, so no space is enumerated
+(encode_ftu_counterexample takes them from a ConstrainedSpace). Each
+constraint and class formula is simplified once and numbered into one
+hash-consed circuit (_Circuit), one node per distinct subformula; both
+copies then emit the same nodes in the same order, one literal per
+node and a Tseitin gate for each connective and for each comparison
+that splits its feature's domain. A table is encoded row by row.
 search() is the internal engine, a deterministic conflict-driven
 clause-learning (CDCL) solver: two watched literals, 1-UIP learning,
 non-chronological backjumping and an activity order on decisions. The
@@ -18,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from . import boolexpr
-from .boolexpr import And, BoolExpr, Const, Eq, Not, Or
+from .boolexpr import And, BoolExpr, Const, Eq, Iff, Implies, Le, Lt, Not, Or, Var
 from .classifier import (
     Classifier,
     ExpressionClassifier,
@@ -27,7 +34,7 @@ from .classifier import (
     TreeLeaf,
 )
 from .errors import CapacityError, DocumentError, ModelSemanticError
-from .model import ConstrainedSpace, Instance
+from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance
 
 TABLE_LIMIT = 4096
 # the declared classes each get one formula per copy, and a table one
@@ -45,11 +52,20 @@ class CnfFormula:
     comment_map: dict[int, str]
 
     def __post_init__(self):
-        for clause in self.clauses:
+        n = self.variable_count
+        lits = set(itertools.chain.from_iterable(self.clauses))
+        if (
+            all(self.clauses)
+            and 0 not in lits
+            and -n <= min(lits, default=0)
+            and max(lits, default=0) <= n
+        ):
+            return
+        for clause in self.clauses:  # name the first fault
             if not clause:
                 raise ModelSemanticError("empty clause")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.variable_count:
+                if lit == 0 or abs(lit) > n:
                     raise ModelSemanticError(f"literal {lit} out of range")
 
 
@@ -82,17 +98,18 @@ class _Builder:
             self.add(self._true_var)
         return self._true_var if value else -self._true_var
 
+    # a gate's two-literal clauses pair a fresh variable with an older
+    # literal, so they never repeat one; only the long clause can
+
     def and_gate(self, lits: list[int]) -> int:
         g = self.new_var(f"gate.{self.count + 1}")
-        for lit in lits:
-            self.add(-g, lit)
+        self.clauses += [(-g, lit) for lit in lits]
         self.add(g, *[-lit for lit in lits])
         return g
 
     def or_gate(self, lits: list[int]) -> int:
         g = self.new_var(f"gate.{self.count + 1}")
-        for lit in lits:
-            self.add(g, -lit)
+        self.clauses += [(g, -lit) for lit in lits]
         self.add(-g, *lits)
         return g
 
@@ -108,17 +125,65 @@ class _Builder:
         return CnfFormula(self.count, tuple(self.clauses), dict(self.names))
 
 
-class _Copy:
-    """Feature variables for one instance copy (x or y)."""
+class _Circuit:
+    """Every distinct subformula of the query, numbered once.
 
-    def __init__(self, builder: _Builder, cs: ConstrainedSpace, tag: str):
+    A node is a flat tuple, its own key: ``(op, child numbers...)`` for a
+    connective and ``(op, fields...)`` at a leaf, ``op`` being the
+    BoolExpr class. So no BoolExpr is ever hashed, and keys compare as
+    the dataclasses they stand for: ``Var(f)`` and ``Eq(f, True)`` are
+    distinct nodes, while ``Eq(f, True)`` and ``Eq(f, 1)`` are one.
+    Nodes are numbered in post-order of first visit, so a formula's new
+    nodes come in the order a recursive walk that caches every
+    subformula meets them.
+    """
+
+    def __init__(self):
+        self.nodes: list[tuple] = []
+        self._numbers: dict[tuple, int] = {}
+
+    def add(self, expr: BoolExpr) -> tuple[list[tuple], int]:
+        """Number a simplified formula; its new nodes, in numbering
+        order, and its root."""
+        start = len(self.nodes)
+        root = self._node(expr)
+        return self.nodes[start:], root
+
+    def _node(self, expr: BoolExpr) -> int:
+        op = expr.__class__
+        if op is Eq:  # first: a tree's class formulas are mostly its tests
+            key = (Eq, expr.feature, expr.value)
+        elif op is Not:
+            key = (Not, self._node(expr.arg))
+        elif op is And or op is Or:
+            key = (op, *map(self._node, expr.args))
+        elif op is Implies or op is Iff:
+            key = (op, self._node(expr.lhs), self._node(expr.rhs))
+        elif op in _LEAVES:
+            key = (op, *vars(expr).values())
+        else:
+            raise TypeError(f"not a BoolExpr: {expr!r}")
+        number = self._numbers.get(key)
+        if number is None:
+            number = self._numbers[key] = len(self.nodes)
+            self.nodes.append(key)
+        return number
+
+
+_LEAVES = frozenset((Const, Var, Eq, Le, Lt))
+
+
+class _Copy:
+    """One instance copy (x or y): its feature variables, and one literal
+    per circuit node, ``lits[node]``, emitted in node order."""
+
+    def __init__(self, builder: _Builder, space: FeatureSpace, tag: str):
         self.builder = builder
-        self.cs = cs
-        self.tag = tag
+        self.space = space
         self.bool_var: dict[int, int] = {}
         self.onehot: dict[int, dict] = {}
-        self._gate_cache: dict[BoolExpr, int] = {}
-        for f in cs.space.features:
+        self.lits: list[int] = []
+        for f in space.features:
             if f.is_boolean and len(f.domain) == 2:
                 self.bool_var[f.index] = builder.new_var(f"{tag}.{f.name}")
             else:
@@ -129,8 +194,7 @@ class _Copy:
                 self.onehot[f.index] = vals
                 lits = list(vals.values())
                 builder.add(*lits)
-                for a, b in itertools.combinations(lits, 2):
-                    builder.add(-a, -b)
+                builder.clauses += [(-a, -b) for a, b in itertools.combinations(lits, 2)]
 
     def value_literal(self, feature: int, value) -> int:
         if feature in self.bool_var:
@@ -139,48 +203,38 @@ class _Copy:
         lit = self.onehot[feature].get(value)  # None for a value off the domain
         return self.builder.const(False) if lit is None else lit
 
-    def encode(self, expr: BoolExpr) -> int:
-        expr = boolexpr.simplify(expr)
-        return self._encode(expr)
-
-    def _encode(self, expr: BoolExpr) -> int:
-        cached = self._gate_cache.get(expr)
-        if cached is not None:
-            return cached
-        lit = self._encode_uncached(expr)
-        self._gate_cache[expr] = lit
-        return lit
-
-    def _encode_uncached(self, expr: BoolExpr) -> int:
-        b = self.builder
-        if isinstance(expr, Const):
-            return b.const(expr.value)
-        if isinstance(expr, boolexpr.Var):
-            return self.value_literal(expr.feature, True)
-        if isinstance(expr, Not):
-            return -self._encode(expr.arg)
-        if isinstance(expr, And):
-            return b.and_gate([self._encode(a) for a in expr.args])
-        if isinstance(expr, Or):
-            return b.or_gate([self._encode(a) for a in expr.args])
-        if isinstance(expr, boolexpr.Implies):
-            return b.or_gate([-self._encode(expr.lhs), self._encode(expr.rhs)])
-        if isinstance(expr, boolexpr.Iff):
-            return b.iff_gate(self._encode(expr.lhs), self._encode(expr.rhs))
-        if isinstance(expr, Eq):
-            return self.value_literal(expr.feature, expr.value)
-        if isinstance(expr, (boolexpr.Le, boolexpr.Lt)):
-            domain = self.cs.space.features[expr.feature].domain
-            if isinstance(expr, boolexpr.Le):
-                hits = [v for v in domain if v <= expr.bound]
-            else:
-                hits = [v for v in domain if v < expr.bound]
-            if not hits:
-                return b.const(False)
-            if len(hits) == len(domain):
-                return b.const(True)
-            return b.or_gate([self.value_literal(expr.feature, v) for v in hits])
-        raise TypeError(f"not a BoolExpr: {expr!r}")
+    def emit(self, nodes: list[tuple], root: int) -> int:
+        """Give each new circuit node its literal, adding its gate's
+        clauses; the root's literal."""
+        b, lits = self.builder, self.lits
+        for key in nodes:
+            op = key[0]
+            if op is Eq:
+                lit = self.value_literal(key[1], key[2])
+            elif op is Not:
+                lit = -lits[key[1]]
+            elif op is And:
+                lit = b.and_gate([lits[c] for c in key[1:]])
+            elif op is Or:
+                lit = b.or_gate([lits[c] for c in key[1:]])
+            elif op is Var:
+                lit = self.value_literal(key[1], True)
+            elif op is Implies:
+                lit = b.or_gate([-lits[key[1]], lits[key[2]]])
+            elif op is Iff:
+                lit = b.iff_gate(lits[key[1]], lits[key[2]])
+            elif op is Const:
+                lit = b.const(key[1])
+            else:  # Le, Lt: an or over the values the comparison keeps
+                _, feature, bound = key
+                domain = self.space.features[feature].domain
+                hits = [v for v in domain if (v <= bound if op is Le else v < bound)]
+                if not hits or len(hits) == len(domain):
+                    lit = b.const(bool(hits))
+                else:
+                    lit = b.or_gate([self.value_literal(feature, v) for v in hits])
+            lits.append(lit)
+        return lits[root]
 
 
 def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
@@ -216,21 +270,29 @@ def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
     raise TypeError(f"no class formulas for {type(k).__name__}")
 
 
-def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula:
-    """CNF satisfiable iff constrained FTU fails for the classifier."""
+def encode_ftu(
+    space: FeatureSpace, constraints: ConstraintSet, k: Classifier
+) -> CnfFormula:
+    """CNF satisfiable iff constrained FTU fails for the classifier: two
+    copies of the space, both satisfying the constraints, equal on the
+    unprotected features, with different labels."""
     if k.class_count > CLASS_LIMIT:
         raise CapacityError(
             f"classifier with {k.class_count} classes exceeds the encoding "
             f"limit {CLASS_LIMIT}"
         )
     builder = _Builder()
-    copy_x = _Copy(builder, cs, "x")
-    copy_y = _Copy(builder, cs, "y")
+    circuit = _Circuit()
+    copy_x = _Copy(builder, space, "x")
+    copy_y = _Copy(builder, space, "y")
+    # each formula is simplified and numbered once; both copies emit the
+    # same nodes in the same order, each copy's gates in numbering order
+    roots = [circuit.add(boolexpr.simplify(c.expr)) for c in constraints]
     for copy in (copy_x, copy_y):
-        for c in cs.constraints:
-            builder.add(copy.encode(c.expr))
-    for i in sorted(cs.space.unprotected):
-        f = cs.space.features[i]
+        for nodes, root in roots:
+            builder.add(copy.emit(nodes, root))
+    for i in sorted(space.unprotected):
+        f = space.features[i]
         if i in copy_x.bool_var:
             a, b = copy_x.bool_var[i], copy_y.bool_var[i]
             builder.add(-a, b)
@@ -243,14 +305,20 @@ def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula
     if isinstance(k, TableClassifier):
         _encode_table_labels(builder, k, copy_x, copy_y)
     else:
-        formulas = [boolexpr.simplify(f) for f in _class_formulas(k, cs.space)]
-        for formula in formulas:
+        for formula in _class_formulas(k, space):
+            formula = boolexpr.simplify(formula)
             if formula == Const(False):
                 continue
-            a = copy_x.encode(formula)
-            b = copy_y.encode(formula)
+            nodes, root = circuit.add(formula)
+            a = copy_x.emit(nodes, root)
+            b = copy_y.emit(nodes, root)
             builder.add(-a, -b)
     return builder.build()
+
+
+def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula:
+    """encode_ftu over the constrained space's features and constraints."""
+    return encode_ftu(cs.space, cs.constraints, k)
 
 
 def _encode_table_labels(
@@ -265,11 +333,18 @@ def _encode_table_labels(
     selectors = {}
     for tag, copy in (("x", copy_x), ("y", copy_y)):
         sel = [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)]
-        for a, b in itertools.combinations(sel, 2):
-            builder.add(-a, -b)
-        for inst, label in zip(itertools.product(*k.domains), k.labels):
-            lits = [-copy.value_literal(i, v) for i, v in enumerate(inst)]
-            builder.add(*lits, sel[label])
+        builder.clauses += [(-a, -b) for a, b in itertools.combinations(sel, 2)]
+        # a row's clause: the negation of each of its values, then the
+        # selector of its label
+        domains = list(enumerate(k.domains))
+        if all(i in copy.bool_var or copy.onehot[i].keys() >= set(d) for i, d in domains):
+            negated = [[-copy.value_literal(i, v) for v in d] for i, d in domains]
+            rows = zip(itertools.product(*negated), k.labels)
+            builder.clauses += [row + (sel[label],) for row, label in rows]
+        else:  # a value off the space's domain reads const.true, made at its first row
+            for inst, label in zip(itertools.product(*k.domains), k.labels):
+                lits = [-copy.value_literal(i, v) for i, v in enumerate(inst)]
+                builder.add(*lits, sel[label])
         selectors[tag] = sel
     for c in range(k.class_count):
         builder.add(-selectors["x"][c], -selectors["y"][c])
@@ -346,7 +421,16 @@ class _Solver:
         self.queued = [True] * (n + 1)  # the heap holds an entry at the current activity
         self.nodes = 0
         self.units: list[int] = []
+        implied = self.implied
         for clause in formula.clauses:
+            if len(clause) == 2:
+                a, b = clause
+                if a == b:
+                    self.units.append(a)
+                elif a != -b:  # a clause with both l and -l is dropped
+                    implied[a].append(b)
+                    implied[b].append(a)
+                continue
             if len(set(map(abs, clause))) < len(clause):
                 # repeated literals are merged; a clause with both l and
                 # -l always holds and is dropped
@@ -621,13 +705,19 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DocumentError(f"bad DIMACS header on line {lineno}")
-            variable_count = int(parts[2])
-            expected = int(parts[3])
+            try:
+                variable_count = int(parts[2])
+                expected = int(parts[3])
+            except ValueError:
+                raise DocumentError(f"bad DIMACS header on line {lineno}") from None
             continue
         if variable_count is None:
             raise DocumentError(f"clause before header on line {lineno}")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DocumentError(f"bad literal {tok!r} on line {lineno}") from None
             if lit == 0:
                 if pending:
                     clauses.append(tuple(pending))

@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import parse_dimacs, parse_expr, search
-from fairaudit.boolexpr import evaluate, pretty, simplify
+from fairaudit.boolexpr import (
+    And,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    evaluate,
+    pretty,
+    simplify,
+)
 from fairaudit.model import unconstrained
 from fairaudit.propcheck import check_model
 from fairaudit.randmodels import random_expr, random_model, random_space
@@ -35,6 +46,33 @@ def test_simplify_preserves_semantics(seed):
     folded = simplify(expr)
     for x in unconstrained(space).instances:
         assert evaluate(expr, x) == evaluate(folded, x)
+
+
+@given(seeds)
+@settings(max_examples=80, deadline=None)
+def test_simplify_returns_what_it_cannot_fold_as_it_is(seed):
+    rng = random.Random(seed)
+    space = random_space(rng, max_features=4)
+    expr = random_expr(rng, space, tuple(range(space.n)), depth=4)
+    assert simplify(expr) is expr  # random_expr places no constant here
+    folded = simplify(Or((Const(False), expr)))
+    assert folded is expr
+    assert simplify(folded) is folded
+
+
+def test_simplify_folds_constants():
+    a, b = Var(0), Var(1)
+    assert simplify(And((a, Const(True)))) is a
+    assert simplify(Or((a, Const(True), b))) == Const(True)
+    assert simplify(And((Not(Const(False)), Const(True)))) == Const(True)
+    assert simplify(Implies(Const(False), a)) == Const(True)
+    assert simplify(Implies(a, Const(False))) == Not(a)
+    assert simplify(Iff(Const(False), a)) == Not(a)
+    assert simplify(Iff(a, Const(True))) is a
+    kept = Not(a)
+    folded = simplify(And((kept, Or((b, Const(False))), a)))
+    assert folded == And((kept, b, a))
+    assert folded.args[0] is kept
 
 
 @given(seeds)

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from fairaudit import (
     CnfFormula,
+    DocumentError,
     ExpressionClassifier,
+    ModelSemanticError,
     check_ftu,
     decode_model,
+    encode_ftu,
     encode_ftu_counterexample,
     enumerate_space,
     export_dimacs,
@@ -21,7 +24,7 @@ from fairaudit import (
     unconstrained,
 )
 from fairaudit import satcheck
-from fairaudit.boolexpr import evaluate_mask
+from fairaudit.boolexpr import And, Eq, Var, evaluate_mask, simplify
 from fairaudit.classifier import (
     TableClassifier,
     expression_to_tree,
@@ -114,6 +117,50 @@ def ftu_shaped_formula(seed: int, fair: bool) -> CnfFormula:
         labels.append(by_projection[p] ^ (not fair and p == twist and x[8]))
     k = TableClassifier((B,) * 9, tuple(labels), 2)
     return encode_ftu_counterexample(enumerate_space(space, constraints), k)
+
+
+def gate_count(formula: CnfFormula) -> int:
+    return sum(name.startswith("gate.") for name in formula.comment_map.values())
+
+
+def two_booleans_and_a_protected_bit() -> FeatureSpace:
+    return FeatureSpace(
+        [Feature(0, "a", B, False), Feature(1, "b", B, False), Feature(2, "p", B, True)]
+    )
+
+
+class TestCnfValidation:
+    @pytest.mark.parametrize(
+        "clauses, message",
+        [
+            (((1,), ()), "empty clause"),
+            (((1, 0),), "literal 0 out of range"),
+            (((1,), (2, 3)), "literal 3 out of range"),
+            (((-3, 1),), "literal -3 out of range"),
+            # the first fault in clause order is the one named
+            (((5,), ()), "literal 5 out of range"),
+            (((), (5,)), "empty clause"),
+        ],
+    )
+    def test_bad_clauses_are_named(self, clauses, message):
+        with pytest.raises(ModelSemanticError) as caught:
+            CnfFormula(2, clauses, {})
+        assert str(caught.value) == message
+
+    def test_extreme_literals_in_range_are_accepted(self):
+        assert CnfFormula(2, ((2, -2), (-1, 1)), {}).variable_count == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf two 1\n1 0\n", "bad DIMACS header on line 1"),
+            ("p cnf 2 x\n1 0\n", "bad DIMACS header on line 1"),
+            ("p cnf 2 1\n1 x 0\n", "bad literal 'x' on line 2"),
+        ],
+    )
+    def test_non_integer_dimacs_tokens_are_document_errors(self, text, message):
+        with pytest.raises(DocumentError, match=message):
+            parse_dimacs(text)
 
 
 class TestSearch:
@@ -309,6 +356,34 @@ class TestEncoding:
             label = k.evaluate(instances[r])
             assert [g >> r & 1 for g in got] == [c == label for c in range(2)]
 
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_table_values_off_the_space_domain_never_hold(self, fair):
+        # a table over a wider domain than the space's: the rows where n
+        # is 5 read the false constant, so only a and, when unfair, n
+        # decide the label
+        space = FeatureSpace(
+            [Feature(0, "a", B, False), Feature(1, "n", (0, 1, 2), True)]
+        )
+        domains = (B, (0, 1, 2, 5))
+        labels = tuple(
+            int(n == 5 or a != (not fair and n == 2))
+            for a, n in itertools.product(*domains)
+        )
+        formula = encode_ftu_counterexample(
+            unconstrained(space), TableClassifier(domains, labels, 2)
+        )
+        names = {name: var for var, name in formula.comment_map.items()}
+        true = names["const.true"]
+        # the constant is made where a row-by-row expansion first reads
+        # it: its unit clause sits between x's rows (a=false, n=2) and
+        # (a=false, n=5)
+        unit = formula.clauses.index((true,))
+        assert formula.clauses[unit - 1] == (
+            names["x.a"], -names["x.n=2"], names[f"sel.x.{int(not fair)}"]
+        )
+        assert formula.clauses[unit + 1] == (names["x.a"], true, names["sel.x.1"])
+        assert search(formula).satisfiable == (not fair)
+
     def test_table_expansion_respects_the_limit(self):
         from fairaudit import CapacityError
 
@@ -338,6 +413,76 @@ class TestEncoding:
         assert not result.satisfiable and result.model is None
         with pytest.raises(TypeError):
             decode_model(formula, result.model, cs)
+
+
+class TestCircuit:
+    def test_a_bare_feature_and_its_equality_to_true_get_separate_gates(self):
+        space = two_booleans_and_a_protected_bit()
+        constraints = ConstraintSet((Constraint(parse_expr("(and a b)", space)),))
+        k = ExpressionClassifier(parse_expr("(and (= a true) b)", space))
+        assert gate_count(encode_ftu(space, constraints, k)) == 2 * 2
+
+    def test_equality_to_true_and_to_one_share_a_gate(self):
+        space = two_booleans_and_a_protected_bit()
+        constraints = ConstraintSet((Constraint(And((Eq(0, 1), Var(1)))),))
+        k = ExpressionClassifier(And((Eq(0, True), Var(1))))
+        assert gate_count(encode_ftu(space, constraints, k)) == 1 * 2
+
+    def test_a_subformula_of_a_constraint_and_a_class_formula_gets_one_gate(self):
+        space = two_booleans_and_a_protected_bit()
+        constraints = ConstraintSet((Constraint(parse_expr("(or a (not b))", space)),))
+        k = ExpressionClassifier(parse_expr("(and p (or a (not b)))", space))
+        # per copy: the shared or, and the classifier's and
+        assert gate_count(encode_ftu(space, constraints, k)) == 2 * 2
+
+    def test_both_copies_emit_the_same_gates_up_to_renaming(self):
+        space = FeatureSpace(
+            [
+                Feature(0, "a", B, False),
+                Feature(1, "b", B, True),
+                Feature(2, "n", (0, 1, 2, 3), False),
+            ]
+        )
+        texts = [
+            "(iff a (le n 1))",
+            "(implies (lt n 3) (or b (= n 2)))",
+            "(and (iff a (le n 1)) (not b) (or a b))",
+            "(or (and a b) (and a b) (= n 0))",
+        ]
+        builder, circuit = satcheck._Builder(), satcheck._Circuit()
+        copies = [satcheck._Copy(builder, space, tag) for tag in "xy"]
+        added = [circuit.add(simplify(parse_expr(t, space))) for t in texts]
+        emitted = []
+        for copy in copies:
+            first_clause, first_var = len(builder.clauses), builder.count + 1
+            roots = [copy.emit(nodes, root) for nodes, root in added]
+            gates = range(first_var, builder.count + 1)
+            emitted.append((builder.clauses[first_clause:], gates, roots))
+        (x_clauses, x_gates, x_roots), (y_clauses, y_gates, y_roots) = emitted
+        assert len(x_gates) == len(y_gates) > 0
+        by_name = {name: var for var, name in builder.names.items()}
+        rename = dict(zip(x_gates, y_gates))
+        for var, name in builder.names.items():
+            if name.startswith("x."):
+                rename[var] = by_name["y." + name[2:]]
+        renamed = lambda lit: rename[lit] if lit > 0 else -rename[-lit]
+        assert [tuple(map(renamed, c)) for c in x_clauses] == y_clauses
+        assert list(map(renamed, x_roots)) == y_roots
+
+    def test_encode_ftu_reads_the_space_and_constraints_alone(self, load_model):
+        loaded = load_model("work_from_home")
+        cs = loaded.constrained()
+        assert export_dimacs(
+            encode_ftu(cs.space, cs.constraints, loaded.classifier)
+        ) == export_dimacs(encode_ftu_counterexample(cs, loaded.classifier))
+
+    def test_encode_ftu_needs_no_enumeration(self):
+        # 2^40 instances, far past the enumeration cap
+        space = FeatureSpace([Feature(i, f"f{i}", B, i == 0) for i in range(40)])
+        constraints = ConstraintSet((Constraint(parse_expr("(implies f0 f1)", space)),))
+        k = ExpressionClassifier(parse_expr("(or (and f0 f1) (and f1 f39))", space))
+        result = search(encode_ftu(space, constraints, k))
+        assert result.satisfiable  # f1 and not f39: f0 decides the label
 
 
 class TestEngineAgreement:
