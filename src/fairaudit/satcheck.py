@@ -334,17 +334,14 @@ def _encode_table_labels(
     for tag, copy in (("x", copy_x), ("y", copy_y)):
         sel = [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)]
         builder.clauses += [(-a, -b) for a, b in itertools.combinations(sel, 2)]
-        # a row's clause: the negation of each of its values, then the
-        # selector of its label
-        domains = list(enumerate(k.domains))
-        if all(i in copy.bool_var or copy.onehot[i].keys() >= set(d) for i, d in domains):
-            negated = [[-copy.value_literal(i, v) for v in d] for i, d in domains]
-            rows = zip(itertools.product(*negated), k.labels)
-            builder.clauses += [row + (sel[label],) for row, label in rows]
-        else:  # a value off the space's domain reads const.true, made at its first row
-            for inst, label in zip(itertools.product(*k.domains), k.labels):
-                lits = [-copy.value_literal(i, v) for i, v in enumerate(inst)]
-                builder.add(*lits, sel[label])
+        # a row's clause: the negation of each of its values (a value off
+        # the space's domain reads the false constant), then the selector
+        # of its label
+        negated = [
+            [-copy.value_literal(i, v) for v in d] for i, d in enumerate(k.domains)
+        ]
+        rows = zip(itertools.product(*negated), k.labels)
+        builder.clauses += [row + (sel[label],) for row, label in rows]
         selectors[tag] = sel
     for c in range(k.class_count):
         builder.add(-selectors["x"][c], -selectors["y"][c])
