@@ -4,7 +4,10 @@ report snapshots in fixtures/snapshots/, and pin the bytes of the FTU
 query's CNF by their sha256: the file `fairaudit export-cnf` writes for
 each fixture in fixtures/snapshots/export_cnf.sha256, and the DIMACS
 text of 300 seeded random models (up to 7 features, domains up to 5) in
-fixtures/snapshots/encode_random.sha256.
+fixtures/snapshots/encode_random.sha256. The explain command is pinned
+the same way in fixtures/snapshots/explain.sha256: per fixture, the
+sha256 of its exit codes and standard output at every instance of the
+full space, with and without --ignore-constraints, in JSON and in text.
 
     python3 scripts/audit_all_fixtures.py            # compare
     python3 scripts/audit_all_fixtures.py --write    # regenerate
@@ -22,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 from fairaudit.cli import main as cli_main
-from fairaudit.model import enumerate_space
+from fairaudit.model import enumerate_space, parse_document, unconstrained
 from fairaudit.randmodels import random_model
 from fairaudit.satcheck import encode_ftu_counterexample, export_dimacs
 
@@ -31,6 +34,7 @@ FIXTURES = ROOT / "fixtures"
 SNAPSHOTS = FIXTURES / "snapshots"
 CNF_DIGESTS = SNAPSHOTS / "export_cnf.sha256"
 RANDOM_DIGESTS = SNAPSHOTS / "encode_random.sha256"
+EXPLAIN_DIGESTS = SNAPSHOTS / "explain.sha256"
 RANDOM_MODELS = 300
 
 
@@ -54,6 +58,24 @@ def export_cnf_digest(path: Path) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def explain_digest(path: Path) -> str:
+    """sha256 over the exit code and standard output of `explain` at
+    every instance of the fixture's full space; an instance outside the
+    constraints exits 2 with nothing on standard output."""
+    space = parse_document(path.read_text())[0]
+    digest = hashlib.sha256()
+    for x in unconstrained(space).instances:
+        instance = ",".join(str(int(v)) for v in x)
+        for flags in ((), ("--ignore-constraints",)):
+            for fmt in ("json", "text"):
+                argv = ["explain", str(path), "--instance", instance, "--format", fmt]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli_main([*argv, *flags])
+                digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
 def random_encoding_digests() -> str:
     """One line per seed: the sha256 of the DIMACS text of the FTU query
     of `random_model(random.Random(seed))`. Random models reach what the
@@ -68,14 +90,16 @@ def random_encoding_digests() -> str:
     return "".join(lines)
 
 
-def compare_digests(path: Path, text: str, write: bool, stale: list[str]) -> None:
+def compare_digests(
+    path: Path, text: str, write: bool, stale: list[str], what: str = "CNF output"
+) -> None:
     if write:
         path.write_text(text)
         print(f"wrote {path.relative_to(ROOT)}")
     elif not path.exists():
         stale.append(f"{path.name}: missing (run with --write)")
     elif path.read_text() != text:
-        stale.append(f"{path.name}: CNF output drifted")
+        stale.append(f"{path.name}: {what} drifted")
     else:
         print(f"ok {path.relative_to(ROOT)}")
 
@@ -88,9 +112,11 @@ def main() -> int:
     SNAPSHOTS.mkdir(exist_ok=True)
     stale = []
     digests = []
+    explained = []
     for path in sorted(FIXTURES.glob("*.json")):
         report = audit_report(path)
         digests.append(f"{export_cnf_digest(path)}  {path.name}\n")
+        explained.append(f"{explain_digest(path)}  {path.name}\n")
         snap = SNAPSHOTS / f"{path.stem}.audit.json"
         if args.write:
             snap.write_text(report)
@@ -103,6 +129,7 @@ def main() -> int:
             print(f"ok {snap.relative_to(ROOT)}")
     compare_digests(CNF_DIGESTS, "".join(digests), args.write, stale)
     compare_digests(RANDOM_DIGESTS, random_encoding_digests(), args.write, stale)
+    compare_digests(EXPLAIN_DIGESTS, "".join(explained), args.write, stale, "explain output")
     for line in stale:
         print(f"STALE {line}")
     return 1 if stale else 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 import traceback
@@ -304,6 +305,11 @@ def _word(flag: bool) -> str:
 # explain
 
 
+# an --instance integer: ASCII digits with an optional sign, so no "1_0"
+# and no digits of other scripts, which int() would both take
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_instance(space: FeatureSpace, text: str) -> Instance:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != space.n:
@@ -321,13 +327,10 @@ def _parse_instance(space: FeatureSpace, text: str) -> Instance:
                 raise DocumentError(
                     f"feature {feat.name!r} is boolean, got {raw!r}"
                 )
+        elif _INTEGER.fullmatch(raw):
+            values.append(int(raw))
         else:
-            try:
-                values.append(int(raw))
-            except ValueError:
-                raise DocumentError(
-                    f"feature {feat.name!r} is integer-valued, got {raw!r}"
-                ) from None
+            raise DocumentError(f"feature {feat.name!r} is integer-valued, got {raw!r}")
     return space.validate_instance(values)
 
 

@@ -6,31 +6,22 @@ the subset-minimal ones; prime-implicant explanations are the AXps
 whose coverage is not properly contained in another AXp's coverage.
 Call an AXp's cube its features with the instance's values on them.
 
-Two routines find the AXps, with the same answers:
+One Shannon recursion finds the AXps, for one decision (reasons, and
+so the explain command) and for every decision at once (primes, and so
+the audit). The AXp cubes of the decisions labelled c are exactly the
+prime implicants of g_c = L_c | ~sel that meet L_c, a literal fixing one
+feature to one value and the instances outside the constraints being
+don't-cares (Quine, "The problem of simplifying truth functions", 1952).
+The recursion finds them on the rank masks without enumerating feature
+sets (Coudert & Madre, "Implicit and incremental computation of primes
+and essential primes of Boolean functions", DAC 1992); seeded with some
+decisions, it finds the primes covering them. A decision's AXps are
+then the primes whose cubes hold it, and a prime is a PI-explanation at
+every decision it covers or at none: if cov(t) is inside cov(t'), every
+decision in cov(t) lies in t', so t' is an AXp there too.
 
-  * one decision (reasons, and so the explain command): Berge's
-    algorithm, by the AXp/CXp duality (Ignatiev, Narodytska, Asher &
-    Marques-Silva, "From contrastive to abductive explanations and back
-    again", AI*IA 2020). A feature set is a weak AXp exactly when it
-    meets the difference set {i : y_i != x_i} of every constrained
-    instance y labelled otherwise, so the AXps are the minimal hitting
-    sets of the minimal difference sets. _mask_differences reads those
-    off the rank masks in about (2n + the sizes of the domains with more
-    than two values) big-int operations, so F[C] is never enumerated.
-  * every decision at once (primes, and so the audit): the AXp cubes of
-    the decisions labelled c are exactly the prime implicants of
-    g_c = L_c | ~sel that meet L_c, a literal fixing one feature to one
-    value and the instances outside the constraints being don't-cares
-    (Quine, "The problem of simplifying truth functions", 1952). One
-    Shannon recursion on the rank masks finds them without enumerating
-    feature sets (Coudert & Madre, "Implicit and incremental computation
-    of primes and essential primes of Boolean functions", DAC 1992).
-    A decision's AXps are then the primes whose cubes hold it, and a
-    prime is a PI-explanation at every decision it covers or at none:
-    if cov(t) is inside cov(t'), every decision in cov(t) lies in t',
-    so t' is an AXp there too.
-
-Berge stays the independent oracle for the primes (propcheck).
+The independent oracle for the primes, Berge's algorithm, is in
+propcheck.
 """
 
 from __future__ import annotations
@@ -43,10 +34,6 @@ from .boolexpr import Value
 from .classifier import Classifier
 from .errors import CapacityError, ModelSemanticError
 from .model import ConstrainedSpace, Instance
-
-# Berge's transversals grow with the feature count; the prime recursion
-# enumerates no feature sets and is not held to it
-SUBSET_CAP = 20
 
 # what the prime recursion may hold: the cubes one label's search builds
 # over all its calls, which also bound its memo, and the bits of the
@@ -131,77 +118,6 @@ def strictly_subsumes(
     return cov_b & cov_a == cov_b and cov_a != cov_b
 
 
-def _check_cap(n: int) -> None:
-    if n > SUBSET_CAP:
-        raise CapacityError(
-            f"{n} features exceed the subset-enumeration cap {SUBSET_CAP}"
-        )
-
-
-def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
-    """One decision's subset-minimal weak AXps, smallest first and
-    lexicographic within a size: Berge's algorithm on the minimal
-    difference sets read off the rank masks."""
-    n = cs.space.n
-    _check_cap(n)
-    minimal = _mask_differences(cs, d)
-    singles = [1 << i for i in range(n)]
-    # Berge: extend the minimal transversals so far to the next set; an
-    # extension can only be a superset of one that already hits that set
-    hitting = [0]
-    for s in sorted(minimal, key=int.bit_count):
-        hit = [t for t in hitting if t & s]
-        hitting = hit + [
-            t | e
-            for t in hitting
-            if not t & s
-            for e in singles
-            if e & s and all(h & ~(t | e) for h in hit)
-        ]
-    return sorted(
-        (tuple(i for i in range(n) if t >> i & 1) for t in hitting), key=_order
-    )
-
-
-def _mask_differences(cs: ConstrainedSpace, d: Decision) -> list[int]:
-    """The decision's minimal difference sets, bit i for feature i, from
-    big-int operations on the ranks labelled otherwise.
-
-    Every value of feature i other than x_i moves onto one value b_i, so
-    each rank left stands for one difference set, its digits x_i or b_i.
-    Moving the ranks that hold x_i onto b_i, one feature after another,
-    yields every strict superset of such a set; the rest are minimal."""
-    x = d.instance
-    q = cs.sel & ~cs.label_mask(d.classifier, d.label)
-    digits = []  # per feature that can differ: index, stride, domain size, x_i's index
-    ups = []  # per such feature: the ranks with x_i, their shift onto b_i
-    for i, (f, s) in enumerate(zip(cs.space.features, cs.strides)):
-        dom, masks = f.domain, cs.rank_masks[i]
-        if len(dom) < 2:
-            continue
-        a = dom.index(x[i])
-        b = 0 if a else 1
-        if len(dom) > 2:
-            moved = q & (masks[dom[a]] | masks[dom[b]])
-            for j in range(b + 1, len(dom)):
-                if j != a:
-                    moved |= (q & masks[dom[j]]) >> (j - b) * s
-            q = moved
-        digits.append((i, s, len(dom), a))
-        ups.append((masks[dom[a]], (b - a) * s))
-    strict = 0
-    for same, shift in ups:
-        up = (q | strict) & same
-        strict |= up << shift if shift > 0 else up >> -shift
-    minimal = q & ~strict
-    sets = []
-    while minimal:
-        r = minimal.bit_length() - 1
-        minimal ^= 1 << r
-        sets.append(sum(1 << i for i, s, size, a in digits if r // s % size != a))
-    return sets
-
-
 def _order(feats: tuple[int, ...]) -> tuple:
     return len(feats), feats
 
@@ -213,28 +129,21 @@ def _explanation(
     return Explanation(features, kind, fair, cov.bit_count())
 
 
-def explained(
-    cs: ConstrainedSpace, d: Decision, sets: Iterable[tuple[int, ...]]
-) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
-    """The decision's AXps and PI-explanations from its AXps' feature
-    sets, in the order given."""
-    found = [(f, cs.coverage_mask(d.instance, f)) for f in sets]
-    axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
-    pis = tuple(
-        replace(axp, kind=ExplanationKind.PI)
-        for axp, (_, cov) in zip(axps, found)
-        if not any(cov & other == cov and cov != other for _, other in found)
-    )
-    return axps, pis
-
-
 def reasons(
     cs: ConstrainedSpace, d: Decision
 ) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
     """The decision's AXps, ordered by size then indices, and the AXps
-    not strictly subsumed by another AXp, in the same order; both from
-    one Berge search."""
-    return explained(cs, d, _berge_axps(cs, d))
+    not strictly subsumed by another AXp, in the same order: the primes
+    covering its rank. They are read from the space's prime table when
+    it holds one, else found by the recursion seeded at that rank, which
+    the space does not keep."""
+    r = cs.rank(d.instance)
+    every = cs.cached((primes, d.classifier, None))
+    if every is None:
+        at = _primes(cs, d.classifier, 1 << r)  # each covers r
+    else:
+        at = [t for t in every if t.cov >> r & 1]
+    return tuple(t.axp for t in at), tuple(t.pi for t in at if t.pi)
 
 
 def primes(cs: ConstrainedSpace, k: Classifier, upto: int | None = None) -> list[Prime]:
@@ -246,56 +155,59 @@ def primes(cs: ConstrainedSpace, k: Classifier, upto: int | None = None) -> list
     Each prime's coverage mask, explanations and PI status are settled
     once, and the space keeps the list, so every verdict on the space
     reads one table. A request with ``upto`` on a space that already
-    holds every prime filters that list instead of searching again.
-
-    A prime is a PI-explanation at every decision it covers or at none,
-    so one filter settles it: t is one unless a prime t' covers strictly
-    more. Such a t' covers t's lowest rank, so only the primes covering
-    some prime's lowest rank are compared."""
+    holds every prime filters that list instead of searching again."""
     every = cs.cached((primes, k, None))
     if upto is not None and every is not None:
         seed = within(cs, upto)
         return [t for t in every if t.cov & seed]
+    return cs.memo((primes, k, upto), lambda: _primes(cs, k, within(cs, upto)))
 
-    def make() -> list[Prime]:
-        ones = (1 << cs.size) - 1
-        seed = within(cs, upto)
-        cubes = []  # (features, values, label, coverage)
-        bits = 0
-        for c, lab in cs.label_masks(k).items():
-            for cube in _prime_cubes(cs, lab | ones ^ cs.sel, lab & seed):
-                cov = cs.sel
-                for i, v in cube:
-                    cov &= cs.rank_masks[i][v]
-                bits += cov.bit_length()
-                if bits > COVERAGE_CAP_BITS:
-                    raise CapacityError(
-                        f"the prime implicants' coverage masks pass the cap of "
-                        f"{COVERAGE_CAP_BITS} bits"
-                    )
-                features, values = zip(*cube) if cube else ((), ())
-                cubes.append((features, values, c, cov))
-        cubes.sort(key=lambda t: _order(t[0]))
-        lows = 0
-        for *_, cov in cubes:
-            lows |= cov & -cov
-        at: dict[int, list[tuple[int, int]]] = {}  # per lowest rank, (size, coverage)
-        for *_, cov in cubes:
-            m = cov & lows
-            while m:
-                r = m.bit_length() - 1
-                at.setdefault(r, []).append((cov.bit_count(), cov))
-                m ^= 1 << r
-        found = []
-        for features, values, c, cov in cubes:
-            axp = _explanation(cs, features, ExplanationKind.AXP, cov)
-            low, size = (cov & -cov).bit_length() - 1, axp.coverage_size
-            strict = any(n > size and cov & o == cov for n, o in at[low])
-            pi = None if strict else replace(axp, kind=ExplanationKind.PI)
-            found.append(Prime(c, features, values, cov, axp, pi))
-        return found
 
-    return cs.memo((primes, k, upto), make)
+def _primes(cs: ConstrainedSpace, k: Classifier, seed: int) -> list[Prime]:
+    """The primes of primes() covering some rank of seed, a mask inside
+    F[C]; a label with no rank in seed is not searched.
+
+    A prime is a PI-explanation at every decision it covers or at none,
+    so one filter settles it: t is one unless a prime t' covers strictly
+    more. Such a t' covers every rank t covers, so it meets seed too and
+    is among the primes found, and it covers t's lowest rank, so only
+    the primes covering some prime's lowest rank are compared."""
+    ones = (1 << cs.size) - 1
+    cubes = []  # (features, values, label, coverage)
+    bits = 0
+    for c, lab in cs.label_masks(k).items():
+        if not lab & seed:
+            continue
+        for cube in _prime_cubes(cs, lab | ones ^ cs.sel, lab & seed):
+            cov = cs.sel
+            for i, v in cube:
+                cov &= cs.rank_masks[i][v]
+            bits += cov.bit_length()
+            if bits > COVERAGE_CAP_BITS:
+                raise CapacityError(
+                    f"the prime implicants' coverage masks pass the cap of "
+                    f"{COVERAGE_CAP_BITS} bits"
+                )
+            features, values = zip(*cube) if cube else ((), ())
+            cubes.append((features, values, c, cov))
+    cubes.sort(key=lambda t: _order(t[0]))
+    axps = [_explanation(cs, f, ExplanationKind.AXP, cov) for f, _, _, cov in cubes]
+    lows = [(cov & -cov).bit_length() - 1 for *_, cov in cubes]
+    low_mask = sum(1 << r for r in set(lows))
+    at: dict[int, list[tuple[int, int]]] = {}  # per lowest rank, (size, coverage)
+    for (*_, cov), axp in zip(cubes, axps):
+        m = cov & low_mask
+        while m:
+            r = m.bit_length() - 1
+            at.setdefault(r, []).append((axp.coverage_size, cov))
+            m ^= 1 << r
+    found = []
+    for (features, values, c, cov), axp, low in zip(cubes, axps, lows):
+        size = axp.coverage_size
+        strict = any(n > size and cov & o == cov for n, o in at[low])
+        pi = None if strict else replace(axp, kind=ExplanationKind.PI)
+        found.append(Prime(c, features, values, cov, axp, pi))
+    return found
 
 
 def within(cs: ConstrainedSpace, upto: int | None) -> int:
@@ -384,8 +296,8 @@ def one_axp(
     """Deletion-based extraction of a single AXp.
 
     Walks seed_order (default: descending feature index) once, dropping
-    every feature whose removal keeps the set a weak AXp. Works above
-    the subset-enumeration cap.
+    every feature whose removal keeps the set a weak AXp: n coverage
+    masks and no prime search.
     """
     n = cs.space.n
     if seed_order is None:

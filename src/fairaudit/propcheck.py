@@ -15,20 +15,35 @@ implication structure exercised here:
     space exists;
   * looseness plus FTU forces a fair reason, pointwise and globally,
     as does disentangledness;
-  * the prime cubes the audit reads give every decision the AXps,
+  * the prime cubes the audit reads, and the recursion seeded at one
+    decision that explain runs, give every decision the AXps,
     PI-explanations, status and disentangledness that Berge's
     per-decision search gives.
+
+Berge's search is the oracle for the primes and lives here alone. By
+the AXp/CXp duality (Ignatiev, Narodytska, Asher & Marques-Silva, "From
+contrastive to abductive explanations and back again", AI*IA 2020), a
+feature set is a weak AXp exactly when it meets the difference set
+{i : y_i != x_i} of every constrained instance y labelled otherwise, so
+the AXps are the minimal hitting sets of the minimal difference sets.
+_mask_differences reads those off the rank masks in about (2n + the
+sizes of the domains with more than two values) big-int operations.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from typing import Iterable
 
 from .errors import FtuViolationError
 from .explain import (
-    _berge_axps,
+    Decision,
+    Explanation,
+    ExplanationKind,
+    _explanation,
+    _order,
     all_axps,
-    explained,
     make_decision,
     one_axp,
     pi_explanations,
@@ -57,6 +72,84 @@ from .model import (
 )
 from .randmodels import RandomModel
 from .satcheck import decode_model, encode_ftu_counterexample, search
+
+
+def _berge_axps(cs: ConstrainedSpace, d: Decision) -> list[tuple[int, ...]]:
+    """One decision's subset-minimal weak AXps, smallest first and
+    lexicographic within a size: Berge's algorithm on the minimal
+    difference sets read off the rank masks."""
+    n = cs.space.n
+    minimal = _mask_differences(cs, d)
+    singles = [1 << i for i in range(n)]
+    # Berge: extend the minimal transversals so far to the next set; an
+    # extension can only be a superset of one that already hits that set
+    hitting = [0]
+    for s in sorted(minimal, key=int.bit_count):
+        hit = [t for t in hitting if t & s]
+        hitting = hit + [
+            t | e
+            for t in hitting
+            if not t & s
+            for e in singles
+            if e & s and all(h & ~(t | e) for h in hit)
+        ]
+    return sorted(
+        (tuple(i for i in range(n) if t >> i & 1) for t in hitting), key=_order
+    )
+
+
+def _mask_differences(cs: ConstrainedSpace, d: Decision) -> list[int]:
+    """The decision's minimal difference sets, bit i for feature i, from
+    big-int operations on the ranks labelled otherwise.
+
+    Every value of feature i other than x_i moves onto one value b_i, so
+    each rank left stands for one difference set, its digits x_i or b_i.
+    Moving the ranks that hold x_i onto b_i, one feature after another,
+    yields every strict superset of such a set; the rest are minimal."""
+    x = d.instance
+    q = cs.sel & ~cs.label_mask(d.classifier, d.label)
+    digits = []  # per feature that can differ: index, stride, domain size, x_i's index
+    ups = []  # per such feature: the ranks with x_i, their shift onto b_i
+    for i, (f, s) in enumerate(zip(cs.space.features, cs.strides)):
+        dom, masks = f.domain, cs.rank_masks[i]
+        if len(dom) < 2:
+            continue
+        a = dom.index(x[i])
+        b = 0 if a else 1
+        if len(dom) > 2:
+            moved = q & (masks[dom[a]] | masks[dom[b]])
+            for j in range(b + 1, len(dom)):
+                if j != a:
+                    moved |= (q & masks[dom[j]]) >> (j - b) * s
+            q = moved
+        digits.append((i, s, len(dom), a))
+        ups.append((masks[dom[a]], (b - a) * s))
+    strict = 0
+    for same, shift in ups:
+        up = (q | strict) & same
+        strict |= up << shift if shift > 0 else up >> -shift
+    minimal = q & ~strict
+    sets = []
+    while minimal:
+        r = minimal.bit_length() - 1
+        minimal ^= 1 << r
+        sets.append(sum(1 << i for i, s, size, a in digits if r // s % size != a))
+    return sets
+
+
+def explained(
+    cs: ConstrainedSpace, d: Decision, sets: Iterable[tuple[int, ...]]
+) -> tuple[tuple[Explanation, ...], tuple[Explanation, ...]]:
+    """The decision's AXps and PI-explanations from its AXps' feature
+    sets, in the order given, by comparing every pair of coverages."""
+    found = [(f, cs.coverage_mask(d.instance, f)) for f in sets]
+    axps = tuple(_explanation(cs, f, ExplanationKind.AXP, cov) for f, cov in found)
+    pis = tuple(
+        replace(axp, kind=ExplanationKind.PI)
+        for axp, (_, cov) in zip(axps, found)
+        if not any(cov & other == cov and cov != other for _, other in found)
+    )
+    return axps, pis
 
 
 def _pi_fairness(cs: ConstrainedSpace, k, x) -> tuple[bool, bool]:
@@ -193,8 +286,10 @@ def _check_one_axp(cs, k, rng: random.Random) -> list[str]:
 
 def _check_primes(cs, k, verdict, rng: random.Random) -> list[str]:
     """At every decision, the primes covering it give the AXps and
-    PI-explanations one Berge search gives, and the disentangled mask's
-    bit is _disentangled on Berge's AXps. The verdict's least unfair,
+    PI-explanations one Berge search gives, reasons gives them on a
+    fresh space, which holds no prime table and so runs the recursion
+    seeded at that decision alone, and the disentangled mask's bit is
+    _disentangled on Berge's AXps. The verdict's least unfair,
     not universally fair and not disentangled decisions, and its unfair
     PI, are the ones Berge's PIs give. The primes seeded up to a random
     decision on a fresh space, as an audit seeds them when FTU fails
@@ -209,6 +304,7 @@ def _check_primes(cs, k, verdict, rng: random.Random) -> list[str]:
     if seeded != [t for t in found if t.cov & below]:
         return [f"the primes seeded up to rank {upto} differ"]
     disentangled = _disentangled_mask(cs, k, found)
+    tableless = enumerate_space(cs.space, cs.constraints)
     failures = {}  # the least decision failing each, with its verdict
     for x in cs.instances:
         d = make_decision(cs, k, x)
@@ -220,6 +316,8 @@ def _check_primes(cs, k, verdict, rng: random.Random) -> list[str]:
             return [f"prime cubes and Berge give different AXps at {x}"]
         if [t.pi.features for t in covering if t.pi] != [e.features for e in berge_pis]:
             return [f"prime cubes and Berge give different PIs at {x}"]
+        if reasons(tableless, make_decision(tableless, k, x)) != (axps, berge_pis):
+            return [f"the recursion seeded at {x} and Berge give different reasons"]
         tangled = not _disentangled(cs, d, axps)
         if bool(disentangled >> r & 1) == tangled:
             return [f"the disentangled mask is wrong at {x}"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fairaudit import enumerate_space, unconstrained
+from fairaudit import enumerate_space, explain, unconstrained
 from fairaudit.classifier import parse_classifier
 from fairaudit.model import parse_document
 
@@ -40,6 +40,21 @@ def load_model():
         return cache[name]
 
     return _load
+
+
+@pytest.fixture
+def recursion_seeds(monkeypatch) -> list[int]:
+    """The seed s of each call of the prime recursion, in order: the
+    decisions whose AXps each call was asked for."""
+    seeds: list[int] = []
+    prime_cubes = explain._prime_cubes
+
+    def counted(cs, g, s):
+        seeds.append(s)
+        return prime_cubes(cs, g, s)
+
+    monkeypatch.setattr(explain, "_prime_cubes", counted)
+    return seeds
 
 
 @pytest.fixture(scope="session")

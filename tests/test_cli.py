@@ -10,7 +10,6 @@ import pytest
 
 from fairaudit import explain, fairness, make_decision, model, parse_dimacs, search
 from fairaudit.cli import main
-from fairaudit.explain import SUBSET_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -168,65 +167,44 @@ class TestAudit:
 
 class TestOneAxpSearchPerDecision:
     """An audit asks the prime recursion once per label, seeded with the
-    decisions of that label, and runs no Berge search; explain runs one
-    Berge search. With --per-decision the listing's recursion over every
+    decisions of that label; explain asks it once, seeded with the one
+    decision. With --per-decision the listing's recursion over every
     decision is the only one: on a model that fails FTU, the verdict
     filters its primes to the decisions up to the FTU witness."""
 
-    @pytest.fixture
-    def searched(self, monkeypatch):
-        """The seeds of the prime recursion's calls, and the decisions
-        Berge searched, in order."""
-        log = {"seeds": [], "berge": []}
-        prime_cubes, berge = explain._prime_cubes, explain._berge_axps
-
-        def counted_primes(cs, g, s):
-            log["seeds"].append(s)
-            return prime_cubes(cs, g, s)
-
-        def counted_berge(cs, d):
-            log["berge"].append(d.instance)
-            return berge(cs, d)
-
-        monkeypatch.setattr(explain, "_prime_cubes", counted_primes)
-        monkeypatch.setattr(explain, "_berge_axps", counted_berge)
-        return log
-
     @pytest.mark.parametrize("name", ["adopt2", "bonus_goals", "training_course"])
-    def test_audit_of_a_fair_model(self, capsys, load_model, searched, name):
+    def test_audit_of_a_fair_model(self, capsys, load_model, recursion_seeds, name):
         code, _ = run_json(capsys, "audit", fixture(name), "--notion", "universal")
         assert code == 0
         loaded = load_model(name)
         cs = loaded.constrained()
-        assert searched["seeds"] == list(cs.label_masks(loaded.classifier).values())
-        assert searched["berge"] == []
+        assert recursion_seeds == list(cs.label_masks(loaded.classifier).values())
 
-    def test_explain(self, capsys, searched):
+    def test_explain(self, capsys, load_model, recursion_seeds):
         _, report = run_json(capsys, "explain", fixture("spouses"), "--instance", "1,1")
         assert report["axps"] and report["pi_explanations"]
-        assert searched == {"seeds": [], "berge": [(True, True)]}
+        cs = load_model("spouses").constrained()
+        assert recursion_seeds == [1 << cs.rank((True, 1))]
 
     @pytest.mark.parametrize(
         "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
     )
-    def test_audit_per_decision(self, capsys, load_model, searched, name):
+    def test_audit_per_decision(self, capsys, load_model, recursion_seeds, name):
         # fair, universally unfair, and unfair with an early exit
         run_json(capsys, "audit", fixture(name), "--per-decision")
         loaded = load_model(name)
         cs, k = loaded.constrained(), loaded.classifier
-        assert searched["berge"] == []
-        assert searched["seeds"] == list(cs.label_masks(k).values())
+        assert recursion_seeds == list(cs.label_masks(k).values())
 
     @pytest.mark.parametrize(
         "name", ["adopt2", "adopt", "work_from_home", "xor_link", "parental_leave"]
     )
-    def test_check_disentangled_seeds_as_audit_does(self, capsys, searched, name):
+    def test_check_disentangled_seeds_as_audit_does(self, capsys, recursion_seeds, name):
         run_json(capsys, "audit", fixture(name))
-        audit = list(searched["seeds"])
-        searched["seeds"].clear()
+        audit = list(recursion_seeds)
+        recursion_seeds.clear()
         run_json(capsys, "check", fixture(name), "--what", "disentangled")
-        assert searched["seeds"] == audit
-        assert searched["berge"] == []
+        assert recursion_seeds == audit
 
 
 class TestExplain:
@@ -287,6 +265,18 @@ class TestExplain:
         assert [e["features"] for e in report["pi_explanations"]] == [["m"], ["n"]]
         fair_flags = {tuple(e["features"]): e["fair"] for e in report["pi_explanations"]}
         assert fair_flags == {("m",): False, ("n",): True}
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0662"])
+    def test_instance_integers_are_ascii_digits(self, capsys, raw):
+        # int() reads "1_0" as 10 and the Arabic-Indic digit two as 2
+        code, out, err = run(
+            capsys, "explain", fixture("spouses"), "--instance", f"1,{raw}"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and repr(raw) in err
+        signed = run(capsys, "explain", fixture("spouses"), "--instance", "1,+1")
+        assert signed == run(capsys, "explain", fixture("spouses"), "--instance", "1,1")
+        assert signed[0] == 0
 
     def test_instance_outside_the_space_names_the_constraint(self, capsys):
         code, out, err = run(
@@ -484,49 +474,49 @@ class TestExitCodes:
         assert "cap" in err
         assert "internal error" not in err
 
-    def test_explain_over_the_subset_cap_is_exit_2(self, capsys, tmp_path):
-        n = SUBSET_CAP + 1
-        doc = tmp_path / "wide.json"
+    @staticmethod
+    def _pinned_document(tmp_path, width: int) -> Path:
+        """(or f0 f1) over width boolean features, f0 protected, and
+        every feature past f8 pinned to false: F[C] is the 512 instances
+        of the 9-feature model."""
+        doc = tmp_path / f"wide{width}.json"
         doc.write_text(
             json.dumps(
                 {
                     "features": [
                         {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
-                        for i in range(n)
+                        for i in range(width)
                     ],
-                    "constraints": [f"(not f{i})" for i in range(9, n)],
+                    "constraints": [f"(not f{i})" for i in range(9, width)],
                     "classifier": {"form": "expression", "expr": "(or f0 f1)"},
                 }
             )
         )
-        instance = ",".join(["1"] * 9 + ["0"] * (n - 9))
-        code, out, err = run(capsys, "explain", str(doc), "--instance", instance)
-        assert code == 2
-        assert "cap" in err
-        assert "internal error" not in err
+        return doc
+
+    def test_explain_at_21_features_is_answered(self, capsys, tmp_path):
+        # the prime recursion enumerates no feature sets: at 21 and 24
+        # features the pinned ones join no reason, and explain gives the
+        # reasons of the 9-feature model
+        keys = ("label", "axps", "pi_explanations", "verdict")
+        doc = self._pinned_document(tmp_path, 9)
+        code, narrow = run_json(capsys, "explain", str(doc), "--instance", "1," * 8 + "1")
+        assert code == 0 and [e["features"] for e in narrow["axps"]] == [["f0"], ["f1"]]
+        for width in (21, 24):
+            doc = self._pinned_document(tmp_path, width)
+            instance = ",".join(["1"] * 9 + ["0"] * (width - 9))
+            code, wide = run_json(capsys, "explain", str(doc), "--instance", instance)
+            assert code == 0
+            assert {k: wide[k] for k in keys} == {k: narrow[k] for k in keys}
 
     def test_audit_over_the_subset_cap_is_answered(self, capsys, tmp_path):
-        # the prime recursion enumerates no feature sets, so the subset cap
-        # that stops explain does not stop an audit: pinning features 9..20
-        # to false changes no verdict, witness or listing of the 9-feature
-        # model
-        n = SUBSET_CAP + 1
-        pinned = {f"f{i}" for i in range(9, n)}
+        # the prime recursion enumerates no feature sets, so the width
+        # does not stop an audit: pinning features 9..20 to false changes
+        # no verdict, witness or listing of the 9-feature model
+        pinned = {f"f{i}" for i in range(9, 21)}
         reports = []
-        for width, constraints in ((n, [f"(not {f})" for f in sorted(pinned)]), (9, [])):
-            doc = tmp_path / f"wide{width}.json"
-            doc.write_text(
-                json.dumps(
-                    {
-                        "features": [
-                            {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
-                            for i in range(width)
-                        ],
-                        "constraints": constraints,
-                        "classifier": {"form": "expression", "expr": "(or f0 f1)"},
-                    }
-                )
-            )
+        for width in (21, 9):
+            doc = self._pinned_document(tmp_path, width)
             code, report = run_json(
                 capsys, "audit", str(doc), "--notion", "universal", "--per-decision"
             )

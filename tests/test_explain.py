@@ -6,7 +6,6 @@ import random
 import pytest
 
 from fairaudit import (
-    CapacityError,
     Constraint,
     ConstraintSet,
     ExpressionClassifier,
@@ -26,8 +25,8 @@ from fairaudit import (
     subsumes,
     unconstrained,
 )
-from fairaudit import explain, fairness
-from fairaudit.explain import SUBSET_CAP, ExplanationKind
+from fairaudit import explain, fairness, propcheck
+from fairaudit.explain import ExplanationKind
 from fairaudit.randmodels import random_constraints, random_model, random_space
 
 
@@ -168,9 +167,10 @@ class TestAllAxps:
         got = [e.features for e in all_axps(cs, d)]
         assert got == sorted(got, key=lambda t: (len(t), t))
 
-    def test_capacity_cap_is_enforced(self):
-        # one feature over the cap; pinning all but nine keeps F[C] small
-        n = SUBSET_CAP + 1
+    def test_21_features_are_answered(self):
+        # pinning all but nine keeps F[C] small; the prime recursion
+        # enumerates no feature sets, so the width costs nothing
+        n = 21
         space = FeatureSpace(
             [Feature(i, f"f{i}", (False, True), i % 4 == 0) for i in range(n)]
         )
@@ -182,8 +182,11 @@ class TestAllAxps:
         k = ExpressionClassifier(parse_expr("(or f0 f1)", space))
         d = make_decision(cs, k, cs.instances[-1])
         for enumerate_reasons in (all_axps, pi_explanations):
-            with pytest.raises(CapacityError):
-                enumerate_reasons(cs, d)
+            got = enumerate_reasons(cs, d)
+            assert [(e.features, e.fair, e.coverage_size) for e in got] == [
+                ((0,), False, 256),
+                ((1,), True, 256),
+            ]
 
     def test_decision_requires_constrained_instance(self, load_model):
         loaded = load_model("training_course")
@@ -373,8 +376,8 @@ def both_engines(cs, k, upto=None):
         pis_here = [t.pi.features for t in covering if t.pi]
         primes.append(([t.features for t in covering], pis_here))
         d = make_decision(cs, k, x)
-        sets = explain._berge_axps(cs, d)
-        berge.append((sets, [e.features for e in explain.explained(cs, d, sets)[1]]))
+        sets = propcheck._berge_axps(cs, d)
+        berge.append((sets, [e.features for e in propcheck.explained(cs, d, sets)[1]]))
     return primes, berge
 
 
@@ -392,7 +395,7 @@ def brute_differences(cs, d) -> list[int]:
 
 def mask_differences(cs, d) -> list[int]:
     """A decision's minimal difference sets from the rank masks, ascending."""
-    return sorted(explain._mask_differences(cs, d))
+    return sorted(propcheck._mask_differences(cs, d))
 
 
 class TestDifferenceSets:
@@ -436,7 +439,7 @@ class TestDifferenceSets:
         for cs in (loaded.constrained(), loaded.full()):
             for x in cs.instances:
                 assert mask_differences(cs, make_decision(cs, k, x)) == []
-                assert explain._berge_axps(cs, make_decision(cs, k, x)) == [()]
+                assert propcheck._berge_axps(cs, make_decision(cs, k, x)) == [()]
 
     def test_empty_space(self, load_model):
         empty = load_model("empty-space")
@@ -445,7 +448,7 @@ class TestDifferenceSets:
         # no instance is labelled otherwise, whatever the instance asked about
         x = empty.full().instances[0]
         d = explain.Decision(empty.classifier, x, 0)
-        assert explain._mask_differences(cs, d) == []
+        assert propcheck._mask_differences(cs, d) == []
         assert explain.primes(cs, empty.classifier) == []
 
 
@@ -507,32 +510,25 @@ class TestLatticeAgainstBerge:
 
 
 class TestDecisionReasons:
-    """decision_verdicts gives every decision what one Berge search for
-    it gives, from one prime recursion per label for the whole walk."""
+    """decision_verdicts gives every decision what decision_verdict gives
+    it: one prime recursion per label for the whole walk, against one
+    recursion seeded at each decision, which leaves no table behind."""
 
-    def test_one_recursion_per_label_and_no_berge_search(self, monkeypatch):
+    def test_one_recursion_per_label_and_no_berge_search(self, recursion_seeds):
         space = FeatureSpace(
             [Feature(i, f"f{i}", (False, True), i % 4 == 0) for i in range(10)]
         )
         k = ExpressionClassifier(parse_expr("(or (and f1 f2) (and f3 (not f5)) f7)", space))
         cs = unconstrained(space)
         decisions = [make_decision(cs, k, x) for x in cs.instances]
+        kept = set(cs._memo)
         want = [fairness.decision_verdict(cs, d) for d in decisions]
-        seeds = []
-        prime_cubes = explain._prime_cubes
-
-        def counted(cs, g, s):
-            seeds.append(s)
-            return prime_cubes(cs, g, s)
-
-        def no_berge(cs, d):
-            raise AssertionError("a Berge search in a walk over every decision")
-
-        monkeypatch.setattr(explain, "_prime_cubes", counted)
-        monkeypatch.setattr(explain, "_berge_axps", no_berge)
+        assert recursion_seeds == [1 << r for r in range(len(cs))]
+        assert set(cs._memo) == kept  # no list per decision
+        recursion_seeds.clear()
         assert list(fairness.decision_verdicts(cs, k)) == want
         # each label once, its seed that label's decisions
-        assert seeds == list(cs.label_masks(k).values())
+        assert recursion_seeds == list(cs.label_masks(k).values())
 
     def test_seeded_random_models_read_for_a_random_length(self):
         rng = random.Random(810)

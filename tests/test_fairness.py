@@ -36,7 +36,6 @@ from fairaudit.fairness import (
     parse_causal_graph,
     space_warnings,
 )
-from fairaudit import explain
 from fairaudit.model import ConstrainedSpace, ConstraintSet
 from fairaudit.randmodels import random_constraints, random_model, random_space
 
@@ -196,7 +195,7 @@ class TestClassifierVerdict:
 
 def two_walk_reference(cs, k):
     """The classifier-level failures from every decision's own verdict
-    and disentangledness, each from one Berge search."""
+    and disentangledness, each from one reasons call."""
     verdicts = [decision_verdict(cs, make_decision(cs, k, x)) for x in cs.instances]
     unfair = [v for v in verdicts if v.status is DecisionStatus.UNFAIR]
     partly = [v for v in verdicts if v.unfair_pi is not None]
@@ -232,25 +231,6 @@ class TestOneWalk:
         assert early_exits >= 100 and violated >= 150
 
 
-def recursion_seeds(monkeypatch) -> dict:
-    """What the audit asks of its engines: the seed s of each call of
-    the prime recursion, and the decisions Berge searches."""
-    asked = {"seeds": [], "berge": []}
-    prime_cubes, berge = explain._prime_cubes, explain._berge_axps
-
-    def counted_primes(cs, g, s):
-        asked["seeds"].append(s)
-        return prime_cubes(cs, g, s)
-
-    def counted_berge(cs, d):
-        asked["berge"].append(d.instance)
-        return berge(cs, d)
-
-    monkeypatch.setattr(explain, "_prime_cubes", counted_primes)
-    monkeypatch.setattr(explain, "_berge_axps", counted_berge)
-    return asked
-
-
 def boolean_space(n: int) -> FeatureSpace:
     """n boolean features f0.., every fourth protected."""
     return FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(n)])
@@ -258,22 +238,21 @@ def boolean_space(n: int) -> FeatureSpace:
 
 class TestEngineChoice:
     """An audit finds every AXp it reads by one prime recursion per label,
-    seeded with that label's decisions, and runs no Berge search; when
-    FTU fails the seeds stop at the FTU witness. One decision's verdict
-    runs one Berge search and no recursion."""
+    seeded with that label's decisions; when FTU fails the seeds stop at
+    the FTU witness. One decision's verdict runs one recursion, seeded
+    with that decision."""
 
-    def test_dense_fair_model_runs_one_recursion_per_label(self, monkeypatch):
+    def test_dense_fair_model_runs_one_recursion_per_label(self, recursion_seeds):
         space = boolean_space(10)
         k = ExpressionClassifier(
             parse_expr("(or (and f1 f2) (and f3 (not f5)) (and f6 f7 f9))", space)
         )
         cs = unconstrained(space)
-        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
         assert v.universal and v.disentangled and len(cs) == 1024
-        assert asked == {"seeds": list(cs.label_masks(k).values()), "berge": []}
+        assert recursion_seeds == list(cs.label_masks(k).values())
 
-    def test_one_hot_model_runs_one_recursion_per_label(self, monkeypatch):
+    def test_one_hot_model_runs_one_recursion_per_label(self, recursion_seeds):
         space = boolean_space(16)
         texts = []
         for g in range(0, 16, 4):
@@ -288,39 +267,37 @@ class TestEngineChoice:
         k = ExpressionClassifier(parse_expr("(or (and f1 f5) f10 (and f6 f15))", space))
         cs = enumerate_space(space, constraints)
         assert len(cs) == 256
-        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
         assert v.existential  # FTU holds: every decision is read
-        assert asked == {"seeds": list(cs.label_masks(k).values()), "berge": []}
+        assert recursion_seeds == list(cs.label_masks(k).values())
 
-    def test_early_exit_seeds_no_rank_past_the_ftu_witness(self, monkeypatch):
+    def test_early_exit_seeds_no_rank_past_the_ftu_witness(self, recursion_seeds):
         # dense, and FTU fails early: the recursion is asked about the
-        # decisions up to the witness, a few of F[C]'s 1,024
+        # decisions up to the witness, a few of F[C]'s 1,024, and not
+        # for a label none of them has
         space = boolean_space(10)
         k = ExpressionClassifier(parse_expr("(or (and f0 f9) (and f2 f3))", space))
         cs = unconstrained(space)
         holds, (x, _) = check_ftu(cs, k)
         assert not holds and cs.rank(x) < 64
-        asked = recursion_seeds(monkeypatch)
         v = classifier_verdict(cs, k)
-        assert not v.existential and asked["berge"] == []
+        assert not v.existential
         upto = (2 << cs.rank(x)) - 1
-        assert asked["seeds"] == [m & upto for m in cs.label_masks(k).values()]
+        seeds = [m & upto for m in cs.label_masks(k).values()]
+        assert recursion_seeds == [s for s in seeds if s]
 
-    def test_one_decision_runs_one_berge_search(self, monkeypatch):
+    def test_one_decision_runs_one_seeded_recursion(self, recursion_seeds):
         space = boolean_space(10)
         k = ExpressionClassifier(parse_expr("(or (and f0 f9) (and f2 f3))", space))
         cs = unconstrained(space)
-        asked = recursion_seeds(monkeypatch)
         x = cs.instances[700]
         decision_verdict(cs, make_decision(cs, k, x))
-        assert asked == {"seeds": [], "berge": [x]}
+        assert recursion_seeds == [1 << 700]
 
 
 class TestFtuWitnessBound:
-    def test_the_walk_stops_at_the_ftu_witness_at_the_latest(self, monkeypatch):
+    def test_the_walk_stops_at_the_ftu_witness_at_the_latest(self, recursion_seeds):
         rng = random.Random(325)
-        asked = recursion_seeds(monkeypatch)
         failing = 0
         for _ in range(300):
             rm = random_model(rng, max_features=6, max_domain=4)
@@ -335,13 +312,13 @@ class TestFtuWitnessBound:
             assert not decision_disentangled(cs, rm.classifier, x)
             # every witness lies at or before x, and the recursion is
             # asked about no decision after it
-            asked["seeds"].clear()
+            recursion_seeds.clear()
             walked = classifier_verdict(cs, rm.classifier)
             tangled = check_disentangled(cs, rm.classifier)[1]
             for d in (walked.existential_failure, walked.universal_failure, tangled):
                 assert cs.rank(d.instance) <= cs.rank(x)
             assert walked.disentangled_failure == tangled
-            assert asked["seeds"] and all(s >> cs.rank(x) + 1 == 0 for s in asked["seeds"])
+            assert recursion_seeds and all(s >> cs.rank(x) + 1 == 0 for s in recursion_seeds)
         assert failing >= 60
 
 

@@ -2,7 +2,9 @@
 
 Every document, however broken, must exit 0 (the notion holds) or 1 (it
 is violated) with a well-formed report, or 2 with a user-facing error;
-never with an internal error.
+never with an internal error. explain is asked about the instance of
+each feature's first domain value; it exits 1 exactly when that decision
+is unfair.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ COMMANDS = (
 )
 
 
+def _first_values(doc) -> str:
+    """An --instance of the document's arity: each feature's first
+    domain value, 0 where a feature has no list to take it from."""
+    features = doc.get("features") if isinstance(doc, dict) else None
+    values = []
+    for f in features if isinstance(features, list) else ():
+        domain = f.get("domain") if isinstance(f, dict) else None
+        value = domain[0] if isinstance(domain, list) and domain else 0
+        values.append(str(int(value)) if isinstance(value, bool) else str(value))
+    return ",".join(values)
+
+
 def _paths(obj, prefix=()):
     """Every position below the root, parents before children."""
     items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
@@ -93,7 +107,7 @@ def test_mutated_documents_keep_the_exit_code_contract(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.json"
         path.write_text(json.dumps(doc))
-        for command in COMMANDS:
+        for command in (*COMMANDS, ("explain", "--instance", _first_values(doc))):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command[0], str(path), *command[1:]])
@@ -103,5 +117,8 @@ def test_mutated_documents_keep_the_exit_code_contract(doc):
                 assert err.getvalue().startswith("error: ")
                 continue
             report = json.loads(out.getvalue())
-            holds = report["verdicts"]["fair"] if command[0] == "audit" else report["result"]
+            if command[0] == "explain":
+                holds = report["verdict"]["status"] != "UNFAIR"
+            else:
+                holds = report["verdicts"]["fair"] if command[0] == "audit" else report["result"]
             assert code == (0 if holds else 1)
