@@ -8,6 +8,9 @@ fixtures/snapshots/encode_random.sha256. The explain command is pinned
 the same way in fixtures/snapshots/explain.sha256: per fixture, the
 sha256 of its exit codes and standard output at every instance of the
 full space, with and without --ignore-constraints, in JSON and in text.
+Before any digest is compared, the search on each of those FTU queries
+is checked against exhaustive FTU, and a satisfying model must decode
+to a witness pair; a disagreement fails the run.
 
     python3 scripts/audit_all_fixtures.py            # compare
     python3 scripts/audit_all_fixtures.py --write    # regenerate
@@ -24,10 +27,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+from fairaudit.classifier import parse_classifier
 from fairaudit.cli import main as cli_main
+from fairaudit.fairness import check_ftu
 from fairaudit.model import enumerate_space, parse_document, unconstrained
 from fairaudit.randmodels import random_model
-from fairaudit.satcheck import encode_ftu_counterexample, export_dimacs
+from fairaudit.satcheck import (
+    decode_model,
+    encode_ftu_counterexample,
+    export_dimacs,
+    search,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -58,6 +68,29 @@ def export_cnf_digest(path: Path) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def search_fault(cs, k, formula) -> str | None:
+    """What is wrong with the search's answer to the FTU query: a
+    verdict other than exhaustive FTU's, or a model that does not decode
+    to a witness pair; None when nothing is."""
+    holds = check_ftu(cs, k, "exhaustive")[0]
+    result = search(formula)
+    if result.satisfiable == holds:
+        return f"search satisfiable={result.satisfiable}, exhaustive FTU holds={holds}"
+    if result.satisfiable:
+        try:
+            decode_model(formula, result.model, cs, k)
+        except AssertionError as exc:
+            return f"decode_model: {exc}"
+    return None
+
+
+def fixture_search_fault(path: Path) -> str | None:
+    space, constraints, k_obj = parse_document(path.read_text())
+    cs = enumerate_space(space, constraints)
+    k = parse_classifier(k_obj, space)
+    return search_fault(cs, k, encode_ftu_counterexample(cs, k))
+
+
 def explain_digest(path: Path) -> str:
     """sha256 over the exit code and standard output of `explain` at
     every instance of the fixture's full space; an instance outside the
@@ -76,16 +109,21 @@ def explain_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def random_encoding_digests() -> str:
+def random_encoding_digests(faults: list[str]) -> str:
     """One line per seed: the sha256 of the DIMACS text of the FTU query
     of `random_model(random.Random(seed))`. Random models reach what the
     fixtures barely do: `le`/`lt`/`implies`/`iff`, multi-valued domains
-    and subformulas shared by a constraint and a class formula."""
+    and subformulas shared by a constraint and a class formula. Each
+    query's search_fault goes into faults."""
     lines = []
     for seed in range(RANDOM_MODELS):
         m = random_model(random.Random(seed), max_features=7, max_domain=5)
         cs = enumerate_space(m.space, m.constraints)
-        text = export_dimacs(encode_ftu_counterexample(cs, m.classifier))
+        formula = encode_ftu_counterexample(cs, m.classifier)
+        fault = search_fault(cs, m.classifier, formula)
+        if fault:
+            faults.append(f"random model seed {seed}: {fault}")
+        text = export_dimacs(formula)
         lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  seed {seed}\n")
     return "".join(lines)
 
@@ -110,10 +148,19 @@ def main() -> int:
     args = parser.parse_args()
 
     SNAPSHOTS.mkdir(exist_ok=True)
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    faults = [f"{p.name}: {fault}" for p in fixtures if (fault := fixture_search_fault(p))]
+    random_digests = random_encoding_digests(faults)
+    if faults:  # nothing is compared, or written, over a wrong answer
+        for line in faults:
+            print(f"WRONG {line}")
+        return 1
+    print(f"ok search agrees with exhaustive FTU on every fixture and {RANDOM_MODELS} random models")
+
     stale = []
     digests = []
     explained = []
-    for path in sorted(FIXTURES.glob("*.json")):
+    for path in fixtures:
         report = audit_report(path)
         digests.append(f"{export_cnf_digest(path)}  {path.name}\n")
         explained.append(f"{explain_digest(path)}  {path.name}\n")
@@ -128,7 +175,7 @@ def main() -> int:
         else:
             print(f"ok {snap.relative_to(ROOT)}")
     compare_digests(CNF_DIGESTS, "".join(digests), args.write, stale)
-    compare_digests(RANDOM_DIGESTS, random_encoding_digests(), args.write, stale)
+    compare_digests(RANDOM_DIGESTS, random_digests, args.write, stale)
     compare_digests(EXPLAIN_DIGESTS, "".join(explained), args.write, stale, "explain output")
     for line in stale:
         print(f"STALE {line}")

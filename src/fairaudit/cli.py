@@ -11,6 +11,7 @@ off by default).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -48,6 +49,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairaudit",

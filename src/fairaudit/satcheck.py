@@ -4,12 +4,17 @@ encode_ftu builds a CNF over two instance copies x and y that is
 satisfiable exactly when some pair satisfying the constraints agrees on
 the unprotected features but receives different labels; it reads the
 feature space and the constraints only, so no space is enumerated
-(encode_ftu_counterexample takes them from a ConstrainedSpace). Each
-constraint and class formula is simplified once and numbered into one
-hash-consed circuit (_Circuit), one node per distinct subformula; both
-copies then emit the same nodes in the same order, one literal per
+(encode_ftu_counterexample takes them from a ConstrainedSpace). The
+copies agree on the unprotected features by construction: y has
+variables for the protected features only and reads x's for the rest.
+Each constraint and class formula is simplified once and numbered into
+one hash-consed circuit (_Circuit), one node per distinct subformula;
+both copies then emit the same nodes in the same order, one literal per
 node and a Tseitin gate for each connective and for each comparison
-that splits its feature's domain. A table is encoded row by row.
+that splits its feature's domain, except that y reuses x's literal for
+a node whose scope holds no protected feature. A table is encoded by
+each label's prime implicants over the table's own domains, found by
+explain._prime_cubes on at most TABLE_LIMIT rows.
 search() is the internal engine, a deterministic conflict-driven
 clause-learning (CDCL) solver: two watched literals, 1-UIP learning,
 non-chronological backjumping and an activity order on decisions. The
@@ -22,9 +27,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import boolexpr
+from . import boolexpr, explain
 from .boolexpr import And, BoolExpr, Const, Eq, Iff, Implies, Le, Lt, Not, Or, Var
 from .classifier import (
     Classifier,
@@ -34,7 +39,7 @@ from .classifier import (
     TreeLeaf,
 )
 from .errors import CapacityError, DocumentError, ModelSemanticError
-from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance
+from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance, unconstrained
 
 TABLE_LIMIT = 4096
 # the declared classes each get one formula per copy, and a table one
@@ -175,16 +180,33 @@ _LEAVES = frozenset((Const, Var, Eq, Le, Lt))
 
 class _Copy:
     """One instance copy (x or y): its feature variables, and one literal
-    per circuit node, ``lits[node]``, emitted in node order."""
+    per circuit node, ``lits[node]``, emitted in node order.
 
-    def __init__(self, builder: _Builder, space: FeatureSpace, tag: str):
+    A copy made with a ``base`` (y, with x as base) has variables of its
+    own for the protected features only: it takes the base's variable,
+    or one-hot group, for every unprotected feature, and the base's
+    literal for every node whose scope holds no protected feature, so
+    such a node gets no gate of its own. ``scoped[node]`` says whether
+    the node's scope holds a protected feature; the base copy sets it as
+    it emits, always before the other copy emits the same node."""
+
+    def __init__(
+        self, builder: _Builder, space: FeatureSpace, tag: str, base: _Copy | None = None
+    ):
         self.builder = builder
         self.space = space
+        self.base = base
         self.bool_var: dict[int, int] = {}
         self.onehot: dict[int, dict] = {}
         self.lits: list[int] = []
+        self.scoped: list[bool] = [] if base is None else base.scoped
         for f in space.features:
-            if f.is_boolean and len(f.domain) == 2:
+            if base is not None and not f.protected:
+                if f.index in base.bool_var:
+                    self.bool_var[f.index] = base.bool_var[f.index]
+                else:
+                    self.onehot[f.index] = base.onehot[f.index]
+            elif f.is_boolean and len(f.domain) == 2:
                 self.bool_var[f.index] = builder.new_var(f"{tag}.{f.name}")
             else:
                 vals = {
@@ -206,9 +228,14 @@ class _Copy:
     def emit(self, nodes: list[tuple], root: int) -> int:
         """Give each new circuit node its literal, adding its gate's
         clauses; the root's literal."""
-        b, lits = self.builder, self.lits
+        b, lits, scoped = self.builder, self.lits, self.scoped
+        shared = None if self.base is None else self.base.lits
+        protected = self.space.protected
         for key in nodes:
             op = key[0]
+            if shared is not None and not scoped[len(lits)]:
+                lits.append(shared[len(lits)])
+                continue
             if op is Eq:
                 lit = self.value_literal(key[1], key[2])
             elif op is Not:
@@ -233,6 +260,11 @@ class _Copy:
                     lit = b.const(bool(hits))
                 else:
                     lit = b.or_gate([self.value_literal(feature, v) for v in hits])
+            if shared is None:  # a leaf's key names its feature, a connective's its children
+                if op in _LEAVES:
+                    scoped.append(op is not Const and key[1] in protected)
+                else:
+                    scoped.append(any(scoped[c] for c in key[1:]))
             lits.append(lit)
         return lits[root]
 
@@ -275,7 +307,9 @@ def encode_ftu(
 ) -> CnfFormula:
     """CNF satisfiable iff constrained FTU fails for the classifier: two
     copies of the space, both satisfying the constraints, equal on the
-    unprotected features, with different labels."""
+    unprotected features, with different labels. The copies are equal
+    there because y reuses x's variables for the unprotected features,
+    so the DIMACS legend names y's protected variables only."""
     if k.class_count > CLASS_LIMIT:
         raise CapacityError(
             f"classifier with {k.class_count} classes exceeds the encoding "
@@ -284,24 +318,13 @@ def encode_ftu(
     builder = _Builder()
     circuit = _Circuit()
     copy_x = _Copy(builder, space, "x")
-    copy_y = _Copy(builder, space, "y")
+    copy_y = _Copy(builder, space, "y", base=copy_x)
     # each formula is simplified and numbered once; both copies emit the
-    # same nodes in the same order, each copy's gates in numbering order
+    # same nodes in the same order, each copy's gates in numbering order,
+    # and a root the copies share is asserted once
     roots = [circuit.add(boolexpr.simplify(c.expr)) for c in constraints]
-    for copy in (copy_x, copy_y):
-        for nodes, root in roots:
-            builder.add(copy.emit(nodes, root))
-    for i in sorted(space.unprotected):
-        f = space.features[i]
-        if i in copy_x.bool_var:
-            a, b = copy_x.bool_var[i], copy_y.bool_var[i]
-            builder.add(-a, b)
-            builder.add(a, -b)
-        else:
-            for v in f.domain:
-                a, b = copy_x.onehot[i][v], copy_y.onehot[i][v]
-                builder.add(-a, b)
-                builder.add(a, -b)
+    asserted = [copy.emit(nodes, root) for copy in (copy_x, copy_y) for nodes, root in roots]
+    builder.clauses += [(lit,) for lit in dict.fromkeys(asserted)]
     if isinstance(k, TableClassifier):
         _encode_table_labels(builder, k, copy_x, copy_y)
     else:
@@ -312,7 +335,7 @@ def encode_ftu(
             nodes, root = circuit.add(formula)
             a = copy_x.emit(nodes, root)
             b = copy_y.emit(nodes, root)
-            builder.add(-a, -b)
+            builder.add(-a, -b)  # one literal when the copies share the formula
     return builder.build()
 
 
@@ -324,27 +347,37 @@ def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula
 def _encode_table_labels(
     builder: _Builder, k: TableClassifier, copy_x: _Copy, copy_y: _Copy
 ) -> None:
+    """Per copy, a selector per class, at most one of them true, and one
+    clause per prime implicant of each label over the table's own
+    domains (explain._prime_cubes): the negation of each of the cube's
+    values (a value off the space's domain reads the false constant),
+    then the selector of its label. The primes of a label cover exactly
+    its rows, so an instance forces the selector of its own label; no
+    two copies may share one."""
     size = len(k.labels)
     if size > TABLE_LIMIT:
         raise CapacityError(
             f"table classifier with {size} rows exceeds the clause-expansion "
             f"limit {TABLE_LIMIT}"
         )
-    selectors = {}
+    table = unconstrained(
+        FeatureSpace([replace(f, domain=d) for f, d in zip(copy_x.space.features, k.domains)])
+    )
+    cover = [
+        (c, cube)
+        for c, rows in table.label_masks(k).items()
+        for cube in explain._prime_cubes(table, rows, rows)
+    ]
+    selectors = []
     for tag, copy in (("x", copy_x), ("y", copy_y)):
         sel = [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)]
         builder.clauses += [(-a, -b) for a, b in itertools.combinations(sel, 2)]
-        # a row's clause: the negation of each of its values (a value off
-        # the space's domain reads the false constant), then the selector
-        # of its label
-        negated = [
-            [-copy.value_literal(i, v) for v in d] for i, d in enumerate(k.domains)
+        builder.clauses += [
+            (*[-copy.value_literal(i, v) for i, v in cube], sel[c]) for c, cube in cover
         ]
-        rows = zip(itertools.product(*negated), k.labels)
-        builder.clauses += [row + (sel[label],) for row, label in rows]
-        selectors[tag] = sel
-    for c in range(k.class_count):
-        builder.add(-selectors["x"][c], -selectors["y"][c])
+        selectors.append(sel)
+    for a, b in zip(*selectors):
+        builder.add(-a, -b)
 
 
 def search(formula: CnfFormula) -> SearchResult:
@@ -633,7 +666,9 @@ def decode_model(
     cs: ConstrainedSpace,
     k: Classifier | None = None,
 ) -> tuple[Instance, Instance]:
-    """Read the witness pair back out of a satisfying assignment."""
+    """Read the witness pair back out of a satisfying assignment; y
+    takes x's value on each feature it has no variable for, which
+    encode_ftu gives it for the unprotected ones only."""
     values: dict[str, dict[int, object]] = {"x": {}, "y": {}}
     for var, name in formula.comment_map.items():
         tag, _, rest = name.partition(".")
@@ -648,16 +683,11 @@ def decode_model(
                 values[tag][feat.index] = _parse_value(raw)
         else:
             values[tag][feat.index] = bool(model[var])
-    out = []
-    for tag in ("x", "y"):
-        got = values[tag]
-        inst = tuple(
-            got.get(f.index, f.domain[0]) for f in cs.space.features
-        )
+    x = tuple(values["x"].get(f.index, f.domain[0]) for f in cs.space.features)
+    y = tuple(values["y"].get(i, v) for i, v in enumerate(x))
+    for tag, inst in (("x", x), ("y", y)):
         if not cs.contains(inst):
             raise AssertionError(f"decoded {tag} falls outside the constrained space")
-        out.append(inst)
-    x, y = out
     for i in cs.space.unprotected:
         if x[i] != y[i]:
             raise AssertionError("decoded pair disagrees on an unprotected feature")

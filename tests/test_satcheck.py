@@ -408,24 +408,96 @@ class TestEncoding:
 
 
 class TestCircuit:
+    # the formulas below read the protected p, so both copies emit their
+    # gates; a formula over a and b alone gets x's gates only
+
     def test_a_bare_feature_and_its_equality_to_true_get_separate_gates(self):
         space = two_booleans_and_a_protected_bit()
-        constraints = ConstraintSet((Constraint(parse_expr("(and a b)", space)),))
-        k = ExpressionClassifier(parse_expr("(and (= a true) b)", space))
+        constraints = ConstraintSet((Constraint(parse_expr("(and a p)", space)),))
+        k = ExpressionClassifier(parse_expr("(and (= a true) p)", space))
         assert gate_count(encode_ftu(space, constraints, k)) == 2 * 2
 
     def test_equality_to_true_and_to_one_share_a_gate(self):
         space = two_booleans_and_a_protected_bit()
-        constraints = ConstraintSet((Constraint(And((Eq(0, 1), Var(1)))),))
-        k = ExpressionClassifier(And((Eq(0, True), Var(1))))
+        constraints = ConstraintSet((Constraint(And((Eq(0, 1), Var(2)))),))
+        k = ExpressionClassifier(And((Eq(0, True), Var(2))))
         assert gate_count(encode_ftu(space, constraints, k)) == 1 * 2
 
     def test_a_subformula_of_a_constraint_and_a_class_formula_gets_one_gate(self):
         space = two_booleans_and_a_protected_bit()
-        constraints = ConstraintSet((Constraint(parse_expr("(or a (not b))", space)),))
-        k = ExpressionClassifier(parse_expr("(and p (or a (not b)))", space))
+        constraints = ConstraintSet((Constraint(parse_expr("(or a (not p))", space)),))
+        k = ExpressionClassifier(parse_expr("(and b (or a (not p)))", space))
         # per copy: the shared or, and the classifier's and
         assert gate_count(encode_ftu(space, constraints, k)) == 2 * 2
+
+    def test_y_has_variables_for_the_protected_features_only(self):
+        space = FeatureSpace(
+            [
+                Feature(0, "a", B, False),
+                Feature(1, "n", (0, 1, 2), False),
+                Feature(2, "p", B, True),
+                Feature(3, "q", (0, 1, 2), True),
+            ]
+        )
+        k = ExpressionClassifier(parse_expr("(or a (= q 1))", space))
+        names = set(encode_ftu(space, ConstraintSet(), k).comment_map.values())
+        assert {n for n in names if n.startswith("y.")} == {"y.p", "y.q=0", "y.q=1", "y.q=2"}
+        assert {"x.a", "x.n=0", "x.n=1", "x.n=2", "x.p", "x.q=0"} <= names
+
+    def test_no_equality_clauses_are_written(self):
+        # without constraints the only clauses on the copies' feature
+        # variables are y's at-least-one and at-most-one over q, and the
+        # class clauses; nothing ties an x variable to a y variable
+        space = FeatureSpace(
+            [Feature(0, "a", B, False), Feature(1, "n", (0, 1, 2), False), Feature(2, "p", B, True)]
+        )
+        k = ExpressionClassifier(parse_expr("(and p (or a (= n 2)))", space))
+        formula = encode_ftu(space, ConstraintSet(), k)
+        by_name = {name: var for var, name in formula.comment_map.items()}
+        x_vars = {by_name[n] for n in ("x.a", "x.n=0", "x.n=1", "x.n=2")}
+        features = x_vars | {by_name["x.p"], by_name["y.p"]}
+        for clause in formula.clauses:
+            if {abs(lit) for lit in clause} <= features:
+                assert {abs(lit) for lit in clause} <= x_vars  # x's one-hot on n
+
+    def test_a_node_without_a_protected_feature_has_one_literal_in_both_copies(self):
+        space = two_booleans_and_a_protected_bit()
+        builder, circuit = satcheck._Builder(), satcheck._Circuit()
+        x = satcheck._Copy(builder, space, "x")
+        y = satcheck._Copy(builder, space, "y", base=x)
+        nodes, root = circuit.add(parse_expr("(or (and a b) (and a p))", space))
+        x.emit(nodes, root)
+        gates = builder.count
+        y.emit(nodes, root)
+        # post-order: a, b, (and a b), p, (and a p), the or
+        a_and_b, a_and_p, either = 2, 4, 5
+        assert x.lits[a_and_b] == y.lits[a_and_b]
+        assert x.lits[a_and_p] != y.lits[a_and_p]
+        assert x.lits[either] != y.lits[either]
+        assert builder.count == gates + 2  # y's and over p, and its or
+
+    def test_a_constraint_without_a_protected_feature_is_asserted_once(self):
+        space = two_booleans_and_a_protected_bit()
+        constraints = ConstraintSet(
+            (Constraint(parse_expr("(or a b)", space)), Constraint(parse_expr("(or a p)", space)))
+        )
+        k = ExpressionClassifier(parse_expr("p", space))
+        units = [c for c in encode_ftu(space, constraints, k).clauses if len(c) == 1]
+        assert len(units) == 1 + 2  # (or a b) once, (or a p) per copy
+
+    def test_decode_gives_y_the_value_of_x_on_a_multivalued_unprotected_feature(self):
+        space = FeatureSpace(
+            [Feature(0, "n", (0, 1, 2, 3), False), Feature(1, "p", B, True)]
+        )
+        constraints = ConstraintSet((Constraint(parse_expr("(not (lt n 2))", space)),))
+        k = ExpressionClassifier(parse_expr("(and p (= n 3))", space))
+        cs = enumerate_space(space, constraints)
+        formula = encode_ftu(space, constraints, k)
+        assert not any(name.startswith("y.n") for name in formula.comment_map.values())
+        result = search(formula)
+        assert result.satisfiable
+        x, y = decode_model(formula, result.model, cs, k)
+        assert x[0] == y[0] == 3 and x[1] != y[1]
 
     def test_both_copies_emit_the_same_gates_up_to_renaming(self):
         space = FeatureSpace(
@@ -475,6 +547,91 @@ class TestCircuit:
         k = ExpressionClassifier(parse_expr("(or (and f0 f1) (and f1 f39))", space))
         result = search(encode_ftu(space, constraints, k))
         assert result.satisfiable  # f1 and not f39: f0 decides the label
+
+
+def random_table(rng: random.Random, off_space: bool):
+    """A space of 1-4 features, domains of 1-4 values, some protected,
+    and a table of up to 4 classes over it; with off_space, one feature
+    of the table has a value the space's domain lacks."""
+    space_domains = []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(1, 4)
+        space_domains.append(B if size == 2 and rng.random() < 0.5 else tuple(range(size)))
+    domains = list(space_domains)
+    if off_space:
+        i = rng.randrange(len(domains))
+        if space_domains[i] == B:  # no value lies off a boolean domain
+            space_domains[i] = (0, 1)
+        domains[i] = (*space_domains[i], 7)
+    space = FeatureSpace(
+        [Feature(i, f"f{i}", d, rng.random() < 0.4) for i, d in enumerate(space_domains)]
+    )
+    classes = rng.randint(2, 4)
+    rows = len(list(itertools.product(*domains)))
+    # few distinct labels per table often, so that primes are wide
+    palette = rng.sample(range(classes), rng.randint(1, classes))
+    labels = tuple(rng.choice(palette) for _ in range(rows))
+    return space, TableClassifier(tuple(domains), labels, classes)
+
+
+class TestTableCover:
+    def test_every_row_satisfies_the_implicant_clauses_of_its_own_label_only(self):
+        rng = random.Random(18)
+        for trial in range(150):
+            space, k = random_table(rng, off_space=trial % 3 == 0)
+            formula = encode_ftu(space, ConstraintSet(), k)
+            by_name = {name: var for var, name in formula.comment_map.items()}
+            sel = [by_name[f"sel.x.{c}"] for c in range(k.class_count)]
+            implicants = [c for c in formula.clauses if c[-1] in sel]
+            for row, label in zip(itertools.product(*k.domains), k.labels):
+                if any(v not in f.domain for f, v in zip(space.features, row)):
+                    continue  # no assignment of x holds a value off the space
+                model = {by_name.get("const.true"): True}
+                for f, v in zip(space.features, row):
+                    if f"x.{f.name}" in by_name:
+                        model[by_name[f"x.{f.name}"]] = v
+                    else:
+                        for w in f.domain:
+                            model[by_name[f"x.{f.name}={int(w)}"]] = w == v
+                holds = lambda clause, c: any(
+                    (lit == sel[c]) if abs(lit) in sel else model[abs(lit)] == (lit > 0)
+                    for lit in clause
+                )
+                for c in range(k.class_count):
+                    assert all(holds(clause, c) for clause in implicants) == (c == label)
+
+    def test_search_agrees_with_exhaustive_on_random_tables(self):
+        rng = random.Random(81)
+        seen = set()
+        for trial in range(150):
+            space, k = random_table(rng, off_space=trial % 3 == 0)
+            cs = unconstrained(space)
+            # the pairwise definition, over the space's own instances
+            by_projection: dict[tuple, set] = {}
+            for x in cs.instances:
+                p = tuple(x[i] for i in sorted(space.unprotected))
+                by_projection.setdefault(p, set()).add(k.evaluate(x))
+            fair = all(len(labels) == 1 for labels in by_projection.values())
+            formula = encode_ftu(space, ConstraintSet(), k)
+            result = search(formula)
+            assert result.satisfiable == (not fair)
+            if result.satisfiable:
+                decode_model(formula, result.model, cs, k)
+            if trial % 3:  # the table's domains are the space's
+                assert check_ftu(cs, k, "search")[0] == check_ftu(cs, k, "exhaustive")[0] == fair
+            seen.add(fair)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("first, fair", [(1, True), (0, False)])
+    def test_a_parity_table_at_the_row_limit_encodes(self, first, fair):
+        # 12 booleans, 4,096 rows, whose primes are its minterms: parity
+        # from feature `first` on, f0 being protected
+        space = FeatureSpace([Feature(i, f"f{i}", B, i == 0) for i in range(12)])
+        domains = (B,) * 12
+        labels = tuple(sum(x[first:]) % 2 for x in itertools.product(*domains))
+        k = TableClassifier(domains, labels, 2)
+        assert len(k.labels) == TABLE_LIMIT
+        assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable == (not fair)
 
 
 class TestEngineAgreement:
