@@ -352,8 +352,8 @@ def _encode_table_labels(
     domains (explain._prime_cubes): the negation of each of the cube's
     values (a value off the space's domain reads the false constant),
     then the selector of its label. The primes of a label cover exactly
-    its rows, so an instance forces the selector of its own label; no
-    two copies may share one."""
+    its rows, so an instance forces the selector of its own label, and
+    the two copies may not have the same selector true."""
     size = len(k.labels)
     if size > TABLE_LIMIT:
         raise CapacityError(

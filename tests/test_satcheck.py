@@ -568,7 +568,7 @@ def random_table(rng: random.Random, off_space: bool):
     )
     classes = rng.randint(2, 4)
     rows = len(list(itertools.product(*domains)))
-    # few distinct labels per table often, so that primes are wide
+    # a palette of few labels makes wide primes common
     palette = rng.sample(range(classes), rng.randint(1, classes))
     labels = tuple(rng.choice(palette) for _ in range(rows))
     return space, TableClassifier(tuple(domains), labels, classes)
