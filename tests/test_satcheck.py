@@ -445,20 +445,17 @@ class TestCircuit:
         assert {"x.a", "x.n=0", "x.n=1", "x.n=2", "x.p", "x.q=0"} <= names
 
     def test_no_equality_clauses_are_written(self):
-        # without constraints the only clauses on the copies' feature
-        # variables are y's at-least-one and at-most-one over q, and the
-        # class clauses; nothing ties an x variable to a y variable
+        # no clause names a feature variable of x and one of y together:
+        # the copies meet only through gates and the class clauses
         space = FeatureSpace(
             [Feature(0, "a", B, False), Feature(1, "n", (0, 1, 2), False), Feature(2, "p", B, True)]
         )
+        constraints = ConstraintSet((Constraint(parse_expr("(or a (= n 1))", space)),))
         k = ExpressionClassifier(parse_expr("(and p (or a (= n 2)))", space))
-        formula = encode_ftu(space, ConstraintSet(), k)
-        by_name = {name: var for var, name in formula.comment_map.items()}
-        x_vars = {by_name[n] for n in ("x.a", "x.n=0", "x.n=1", "x.n=2")}
-        features = x_vars | {by_name["x.p"], by_name["y.p"]}
+        formula = encode_ftu(space, constraints, k)
+        copy_of = {var: name[0] for var, name in formula.comment_map.items() if name[1] == "."}
         for clause in formula.clauses:
-            if {abs(lit) for lit in clause} <= features:
-                assert {abs(lit) for lit in clause} <= x_vars  # x's one-hot on n
+            assert not {"x", "y"} <= {copy_of.get(abs(lit)) for lit in clause}
 
     def test_a_node_without_a_protected_feature_has_one_literal_in_both_copies(self):
         space = two_booleans_and_a_protected_bit()
