@@ -118,9 +118,10 @@ def _tokenize(text: str) -> Iterator[_Token]:
             i += 1
             continue
         start, start_col = i, col
-        if ch == "-" or ch.isdigit():
+        # ASCII digits only: str.isdigit also takes "²", which int() refuses
+        if ch == "-" or "0" <= ch <= "9":
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             word = text[start:i]
             if word == "-":

@@ -97,6 +97,11 @@ class TableClassifier:
         return self.labels[self._rank(x)]
 
     def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
+        """The rows are laid out over the table's own domains, so the
+        masks must be over those, types and all: (0, 1) == (False, True)."""
+        typed = lambda domains: [[(type(v), v) for v in d] for d in domains]
+        if typed(masks) != typed(self.domains):
+            raise ModelSemanticError("table domains differ from the space's")
         return {c: pack_bits(map(c.__eq__, self.labels)) for c in set(self.labels)}
 
 

@@ -7,14 +7,18 @@ feature space and the constraints only, so no space is enumerated
 (encode_ftu_counterexample takes them from a ConstrainedSpace). The
 copies agree on the unprotected features by construction: y has
 variables for the protected features only and reads x's for the rest.
-Each constraint and class formula is simplified once and numbered into
-one hash-consed circuit (_Circuit), one node per distinct subformula;
-both copies then emit the same nodes in the same order, one literal per
-node and a Tseitin gate for each connective and for each comparison
-that splits its feature's domain, except that y reuses x's literal for
-a node whose scope holds no protected feature. A table is encoded by
-each label's prime implicants over the table's own domains, found by
-explain._prime_cubes on at most TABLE_LIMIT rows.
+Each constraint, and an expression's class formulas, is simplified once
+and numbered into one hash-consed circuit (_Circuit), one node per
+distinct subformula; both copies then emit the same nodes in the same
+order, one literal per node and a Tseitin gate for each connective and
+for each comparison that splits its feature's domain, except that y
+reuses x's literal for a node whose scope holds no protected feature.
+A table or a tree is a cover of cubes (_cover): each label's prime
+implicants over the table's own domains (explain._prime_cubes, at most
+TABLE_LIMIT rows), or the tree's leaves' paths. A cube with a protected
+test gives a clause per copy ending in its label's selector, and a
+clause per class keeps the copies off the same selector; any other cube
+is ruled out by one clause.
 search() is the internal engine, a deterministic conflict-driven
 clause-learning (CDCL) solver: two watched literals, 1-UIP learning,
 non-chronological backjumping and an activity order on decisions. The
@@ -42,11 +46,9 @@ from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance, unconstrained
 
 TABLE_LIMIT = 4096
-# the declared classes each get one formula per copy, and a table one
-# selector per copy with a pairwise at-most-one over them, so a table's
-# clauses grow with the square of the class count (1,200 classes took
-# 2 s and 277 MB on a 2-CPU host), and 10^9 would exhaust memory before
-# any clause exists
+# the declared classes each get a formula or a selector per copy, so
+# the query grows with the class count, and 10^9 would exhaust memory
+# before any clause exists
 CLASS_LIMIT = 256
 
 
@@ -156,7 +158,7 @@ class _Circuit:
 
     def _node(self, expr: BoolExpr) -> int:
         op = expr.__class__
-        if op is Eq:  # first: a tree's class formulas are mostly its tests
+        if op is Eq:  # value tests come from constraints and expressions only
             key = (Eq, expr.feature, expr.value)
         elif op is Not:
             key = (Not, self._node(expr.arg))
@@ -225,6 +227,12 @@ class _Copy:
         lit = self.onehot[feature].get(value)  # None for a value off the domain
         return self.builder.const(False) if lit is None else lit
 
+    def outside(self, held, failed) -> tuple[int, ...]:
+        """The clause that the copy lies outside the cube of ``held``
+        (tests passed) and ``failed`` (tests failed)."""
+        lit = self.value_literal
+        return (*[-lit(i, v) for i, v in held], *[lit(i, v) for i, v in failed])
+
     def emit(self, nodes: list[tuple], root: int) -> int:
         """Give each new circuit node its literal, adding its gate's
         clauses; the root's literal."""
@@ -269,39 +277,6 @@ class _Copy:
         return lits[root]
 
 
-def _class_formulas(k: Classifier, space) -> list[BoolExpr]:
-    """One formula per class, true exactly when the classifier answers
-    that class; used for expression and tree forms."""
-    if isinstance(k, ExpressionClassifier):
-        return [Not(k.expr), k.expr]
-    if isinstance(k, TreeClassifier):
-        paths: dict[int, list[BoolExpr]] = {c: [] for c in range(k.class_count)}
-        # depth first, true branch first, with an explicit stack: a chain
-        # of tests can be deeper than the recursion limit
-        stack: list[tuple[int, tuple[BoolExpr, ...]]] = [(k.root, ())]
-        while stack:
-            node_id, conds = stack.pop()
-            node = k._by_id[node_id]
-            if isinstance(node, TreeLeaf):
-                paths[node.label].append(
-                    And(conds) if len(conds) > 1 else (conds[0] if conds else Const(True))
-                )
-                continue
-            test = Eq(node.feature, node.value)
-            stack.append((node.if_false, conds + (Not(test),)))
-            stack.append((node.if_true, conds + (test,)))
-        out = []
-        for c in range(k.class_count):
-            if not paths[c]:
-                out.append(Const(False))
-            elif len(paths[c]) == 1:
-                out.append(paths[c][0])
-            else:
-                out.append(Or(tuple(paths[c])))
-        return out
-    raise TypeError(f"no class formulas for {type(k).__name__}")
-
-
 def encode_ftu(
     space: FeatureSpace, constraints: ConstraintSet, k: Classifier
 ) -> CnfFormula:
@@ -309,7 +284,9 @@ def encode_ftu(
     copies of the space, both satisfying the constraints, equal on the
     unprotected features, with different labels. The copies are equal
     there because y reuses x's variables for the unprotected features,
-    so the DIMACS legend names y's protected variables only."""
+    so the DIMACS legend names y's protected variables only. A table's
+    or a tree's labels are a cover of cubes, and the copies' selectors
+    of class c are ``sel.x.c`` and ``sel.y.c``."""
     if k.class_count > CLASS_LIMIT:
         raise CapacityError(
             f"classifier with {k.class_count} classes exceeds the encoding "
@@ -325,10 +302,8 @@ def encode_ftu(
     roots = [circuit.add(boolexpr.simplify(c.expr)) for c in constraints]
     asserted = [copy.emit(nodes, root) for copy in (copy_x, copy_y) for nodes, root in roots]
     builder.clauses += [(lit,) for lit in dict.fromkeys(asserted)]
-    if isinstance(k, TableClassifier):
-        _encode_table_labels(builder, k, copy_x, copy_y)
-    else:
-        for formula in _class_formulas(k, space):
+    if isinstance(k, ExpressionClassifier):
+        for formula in (Not(k.expr), k.expr):
             formula = boolexpr.simplify(formula)
             if formula == Const(False):
                 continue
@@ -336,6 +311,22 @@ def encode_ftu(
             a = copy_x.emit(nodes, root)
             b = copy_y.emit(nodes, root)
             builder.add(-a, -b)  # one literal when the copies share the formula
+        return builder.build()
+    selectors = [
+        [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)] for tag in "xy"
+    ]
+    # a selector occurs positively in cube clauses and negatively in the
+    # copies' exclusion clauses only, so no at-most-one is needed: setting
+    # an unforced one true satisfies nothing. A cube with no protected
+    # test holds in both copies or in neither, so it holds no witness
+    # pair: one clause, written once, rules it out
+    for c, held, failed in _cover(k, space):
+        if not any(i in space.protected for i, _ in held + failed):
+            builder.clauses.append(copy_x.outside(held, failed) or (builder.const(False),))
+            continue
+        for copy, sel in zip((copy_x, copy_y), selectors):
+            builder.clauses.append((*copy.outside(held, failed), sel[c]))
+    builder.clauses += [(-a, -b) for a, b in zip(*selectors)]
     return builder.build()
 
 
@@ -344,40 +335,46 @@ def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula
     return encode_ftu(cs.space, cs.constraints, k)
 
 
-def _encode_table_labels(
-    builder: _Builder, k: TableClassifier, copy_x: _Copy, copy_y: _Copy
-) -> None:
-    """Per copy, a selector per class, at most one of them true, and one
-    clause per prime implicant of each label over the table's own
-    domains (explain._prime_cubes): the negation of each of the cube's
-    values (a value off the space's domain reads the false constant),
-    then the selector of its label. The primes of a label cover exactly
-    its rows, so an instance forces the selector of its own label, and
-    the two copies may not have the same selector true."""
-    size = len(k.labels)
-    if size > TABLE_LIMIT:
-        raise CapacityError(
-            f"table classifier with {size} rows exceeds the clause-expansion "
-            f"limit {TABLE_LIMIT}"
+def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tuple]:
+    """Cubes ``(label, held, failed)`` such that an instance of the space
+    lies in a cube of its own label and in none of another: ``held``
+    lists the (feature, value) tests the cube's instances pass, ``failed``
+    those they fail. A value off the space's domain reads the false
+    constant. A table's cubes are each label's prime implicants over the
+    table's own domains (explain._prime_cubes, at most TABLE_LIMIT rows).
+    A tree's are its leaves' paths, depth first, true branch first, with
+    an explicit stack: a chain of tests can be deeper than the recursion
+    limit. A path's failed tests on a feature it passes a test on drop
+    out: the value it passes implies them (by a one-hot group's
+    at-most-one), and a chain of failed tests would make long clauses."""
+    if isinstance(k, TableClassifier):
+        size = len(k.labels)
+        if size > TABLE_LIMIT:
+            raise CapacityError(
+                f"table classifier with {size} rows exceeds the clause-expansion "
+                f"limit {TABLE_LIMIT}"
+            )
+        table = unconstrained(
+            FeatureSpace([replace(f, domain=d) for f, d in zip(space.features, k.domains)])
         )
-    table = unconstrained(
-        FeatureSpace([replace(f, domain=d) for f, d in zip(copy_x.space.features, k.domains)])
-    )
-    cover = [
-        (c, cube)
-        for c, rows in table.label_masks(k).items()
-        for cube in explain._prime_cubes(table, rows, rows)
-    ]
-    selectors = []
-    for tag, copy in (("x", copy_x), ("y", copy_y)):
-        sel = [builder.new_var(f"sel.{tag}.{c}") for c in range(k.class_count)]
-        builder.clauses += [(-a, -b) for a, b in itertools.combinations(sel, 2)]
-        builder.clauses += [
-            (*[-copy.value_literal(i, v) for i, v in cube], sel[c]) for c, cube in cover
+        return [
+            (c, cube, ())
+            for c, rows in table.label_masks(k).items()
+            for cube in explain._prime_cubes(table, rows, rows)
         ]
-        selectors.append(sel)
-    for a, b in zip(*selectors):
-        builder.add(-a, -b)
+    cover = []
+    stack: list[tuple[int, tuple, tuple]] = [(k.root, (), ())]
+    while stack:
+        node_id, held, failed = stack.pop()
+        node = k._by_id[node_id]
+        if isinstance(node, TreeLeaf):
+            passed = {f for f, _ in held}
+            cover.append((node.label, held, tuple(t for t in failed if t[0] not in passed)))
+            continue
+        test = (node.feature, node.value)
+        stack.append((node.if_false, held, failed + (test,)))
+        stack.append((node.if_true, held + (test,), failed))
+    return cover
 
 
 def search(formula: CnfFormula) -> SearchResult:

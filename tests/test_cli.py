@@ -662,6 +662,11 @@ class TestExitCodes:
             ({"nodes": [{**_TEST, "if_true": [1]}, *_LEAVES]}, "e"),
             ({"nodes": [{**_TEST, "feature": ["e"]}, *_LEAVES]}, "e"),
             ({"nodes": [_TEST, *_LEAVES]}, "(not " * 3000 + "e" + ")" * 3000),
+            # integers are ASCII digits: int() refuses "²", and reads the
+            # Arabic-Indic digit two as 2
+            ({"nodes": [_TEST, *_LEAVES]}, "(le n \u00b2)"),
+            ({"nodes": [_TEST, *_LEAVES]}, "(= n 1\u00b2)"),
+            ({"nodes": [_TEST, *_LEAVES]}, "(= n \u0662)"),
         ],
         ids=[
             "leaf-label-str",
@@ -670,6 +675,9 @@ class TestExitCodes:
             "edge-list",
             "feature-list",
             "nesting-3000",
+            "superscript-two",
+            "superscript-after-digit",
+            "arabic-indic-two",
         ],
     )
     def test_malformed_tree_or_expression_is_exit_2(
@@ -682,6 +690,7 @@ class TestExitCodes:
                     "features": [
                         {"name": "e", "domain": [False, True]},
                         {"name": "m", "domain": [False, True], "protected": True},
+                        {"name": "n", "domain": [0, 1, 2]},
                     ],
                     "constraints": [constraint],
                     "classifier": {"form": "tree", **tree},

@@ -114,6 +114,27 @@ class TestFtu:
             # m = f = 1 violates (iff m (not f))
             ftu_at(loaded.constrained(), loaded.classifier, (True, True, False))
 
+    @pytest.mark.parametrize(
+        "space_domain, table_domain",
+        [((0, 1, 2), (0, 1, 2, 5)), ((0, 1, 2), (0, 1)), ((0, 1), B)],
+        ids=["wider", "narrower", "typed"],
+    )
+    def test_a_table_over_other_domains_is_refused_by_the_mask_engine(
+        self, space_domain, table_domain
+    ):
+        # the table's rows are laid out over its own domain of n, not
+        # the space's; (False, True) equals (0, 1) but for its types.
+        # Exhaustive FTU reads label masks and must refuse; the search
+        # reads the table's cubes and still answers
+        space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "n", space_domain, True)])
+        domains = (B, table_domain)
+        labels = tuple(int(n == 5) for _, n in itertools.product(*domains))
+        k = TableClassifier(domains, labels, 2)
+        cs = unconstrained(space)
+        with pytest.raises(ModelSemanticError, match="table domains"):
+            check_ftu(cs, k, "exhaustive")
+        assert check_ftu(cs, k, "search") == (True, None)
+
     def test_multiclass_tables_match_the_pairwise_oracle(self):
         rng = random.Random(41)
         outcomes = []

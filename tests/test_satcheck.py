@@ -24,9 +24,12 @@ from fairaudit import (
     unconstrained,
 )
 from fairaudit import satcheck
-from fairaudit.boolexpr import And, Eq, Var, evaluate_mask, simplify
+from fairaudit.boolexpr import And, Eq, Not, Or, Var, simplify
 from fairaudit.classifier import (
     TableClassifier,
+    TreeClassifier,
+    TreeLeaf,
+    TreeNode,
     expression_to_tree,
     parse_classifier,
     to_table,
@@ -37,10 +40,9 @@ from fairaudit.model import (
     Feature,
     FeatureSpace,
     parse_document,
-    rank_masks,
 )
 from fairaudit.randmodels import dnf_to_expr, eval_dnf, random_dnf, random_model
-from fairaudit.satcheck import TABLE_LIMIT, _class_formulas
+from fairaudit.satcheck import TABLE_LIMIT, _cover
 
 B = (False, True)
 
@@ -127,6 +129,46 @@ def two_booleans_and_a_protected_bit() -> FeatureSpace:
     return FeatureSpace(
         [Feature(0, "a", B, False), Feature(1, "b", B, False), Feature(2, "p", B, True)]
     )
+
+
+def in_cube(x, held, failed) -> bool:
+    return all(x[i] == v for i, v in held) and all(x[i] != v for i, v in failed)
+
+
+def assert_cover_selects_the_label(formula: CnfFormula, space: FeatureSpace, k, instances):
+    """Every instance lies in a cube of its own label and in none of
+    another. Take the clauses on copy x alone (its feature variables, the
+    true constant and its selectors) with sel.x.c the only selector set
+    true: an instance satisfies them all exactly when c is its label and
+    it lies in no cube without a protected test, which one clause with no
+    selector rules out."""
+    cover = _cover(k, space)
+    shared = [
+        (held, failed)
+        for _, held, failed in cover
+        if not any(i in space.protected for i, _ in held + failed)
+    ]
+    by_name = {name: var for var, name in formula.comment_map.items()}
+    sel = [by_name[f"sel.x.{c}"] for c in range(k.class_count)]
+    own = {var for name, var in by_name.items() if name.startswith(("x.", "const.", "sel.x."))}
+    clauses = [clause for clause in formula.clauses if all(abs(lit) in own for lit in clause)]
+    for x in instances:
+        label = k.evaluate(x)
+        assert {c for c, held, failed in cover if in_cube(x, held, failed)} == {label}
+        model = {by_name.get("const.true"): True}
+        for var, name in formula.comment_map.items():
+            tag, _, rest = name.partition(".")
+            if tag == "x":
+                feature, eq, raw = rest.partition("=")
+                value = x[space.feature_named(feature).index]
+                model[var] = satcheck._parse_value(raw) == value if eq else bool(value)
+        holds = lambda clause, c: any(
+            (lit == sel[c]) if abs(lit) in sel else model[abs(lit)] == (lit > 0)
+            for lit in clause
+        )
+        ruled_out = any(in_cube(x, held, failed) for held, failed in shared)
+        for c in range(k.class_count):
+            assert all(holds(clause, c) for clause in clauses) == (c == label and not ruled_out)
 
 
 class TestCnfValidation:
@@ -338,23 +380,18 @@ class TestEncoding:
             formula = encode_ftu_counterexample(cs, variant)
             assert search(formula).satisfiable == (not check_ftu(cs, base)[0])
 
-    def test_class_formulas_of_a_chain_deeper_than_the_recursion_limit(
-        self, chain_tree_document
-    ):
+    def test_cover_of_a_chain_deeper_than_the_recursion_limit(self, chain_tree_document):
         space, _, k_obj = parse_document(chain_tree_document)
         k = parse_classifier(k_obj, space)
-        formulas = _class_formulas(k, space)
-        # each formula over all 3,002 ranks at once, then spot checks
-        domains = [f.domain for f in space.features]
-        ones = (1 << space.full_size()) - 1
-        got = [evaluate_mask(f, rank_masks(domains), ones) for f in formulas]
-        assert got[0] ^ got[1] == ones
-        instances = list(itertools.product(*domains))
+        cover = _cover(k, space)
+        assert len(cover) == 1501
+        instances = list(itertools.product(*(f.domain for f in space.features)))
         rng = random.Random(3)
         edges = [2 * n + m for n in (0, 1, 699, 700, 701, 1499, 1500) for m in (0, 1)]
         for r in edges + rng.sample(range(len(instances)), 100):
-            label = k.evaluate(instances[r])
-            assert [g >> r & 1 for g in got] == [c == label for c in range(2)]
+            x = instances[r]
+            (label,) = [c for c, held, failed in cover if in_cube(x, held, failed)]
+            assert label == k.evaluate(x)
 
     @pytest.mark.parametrize("fair", [True, False])
     def test_table_values_off_the_space_domain_never_hold(self, fair):
@@ -577,25 +614,13 @@ class TestTableCover:
         for trial in range(150):
             space, k = random_table(rng, off_space=trial % 3 == 0)
             formula = encode_ftu(space, ConstraintSet(), k)
-            by_name = {name: var for var, name in formula.comment_map.items()}
-            sel = [by_name[f"sel.x.{c}"] for c in range(k.class_count)]
-            implicants = [c for c in formula.clauses if c[-1] in sel]
-            for row, label in zip(itertools.product(*k.domains), k.labels):
-                if any(v not in f.domain for f, v in zip(space.features, row)):
-                    continue  # no assignment of x holds a value off the space
-                model = {by_name.get("const.true"): True}
-                for f, v in zip(space.features, row):
-                    if f"x.{f.name}" in by_name:
-                        model[by_name[f"x.{f.name}"]] = v
-                    else:
-                        for w in f.domain:
-                            model[by_name[f"x.{f.name}={int(w)}"]] = w == v
-                holds = lambda clause, c: any(
-                    (lit == sel[c]) if abs(lit) in sel else model[abs(lit)] == (lit > 0)
-                    for lit in clause
-                )
-                for c in range(k.class_count):
-                    assert all(holds(clause, c) for clause in implicants) == (c == label)
+            # no assignment of x holds a value off the space
+            rows = [
+                row
+                for row in itertools.product(*k.domains)
+                if all(v in f.domain for f, v in zip(space.features, row))
+            ]
+            assert_cover_selects_the_label(formula, space, k, rows)
 
     def test_search_agrees_with_exhaustive_on_random_tables(self):
         rng = random.Random(81)
@@ -629,6 +654,115 @@ class TestTableCover:
         k = TableClassifier(domains, labels, 2)
         assert len(k.labels) == TABLE_LIMIT
         assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable == (not fair)
+
+
+def random_tree(rng: random.Random):
+    """A space of 1-4 features, domains of 1-4 values, some protected,
+    and a tree of up to 4 classes, some of them unused, up to 5 tests
+    deep. A test may name any feature at any depth, so a path can test
+    one feature twice and reach a branch no instance takes."""
+    space_domains = [
+        B if size == 2 and rng.random() < 0.5 else tuple(range(size))
+        for size in (rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+    ]
+    space = FeatureSpace(
+        [Feature(i, f"f{i}", d, rng.random() < 0.4) for i, d in enumerate(space_domains)]
+    )
+    classes = rng.randint(2, 4)
+    palette = rng.sample(range(classes), rng.randint(1, classes))
+    nodes: list = []
+
+    def grow(depth: int, tested: frozenset) -> int:
+        node_id = len(nodes)
+        nodes.append(None)
+        tests = [(f.index, v) for f in space.features for v in f.domain]
+        tests = [t for t in tests if t not in tested]
+        if not depth or not tests or rng.random() < 0.25:
+            nodes[node_id] = TreeLeaf(node_id, rng.choice(palette))
+            return node_id
+        f, v = rng.choice(tests)
+        if_true = grow(depth - 1, tested | {(f, v)})
+        if_false = grow(depth - 1, tested | {(f, v)})
+        nodes[node_id] = TreeNode(node_id, f, v, if_true, if_false)
+        return node_id
+
+    grow(rng.randint(0, 5), frozenset())
+    return space, TreeClassifier(tuple(nodes), 0, classes)
+
+
+def random_constraint(rng: random.Random, space: FeatureSpace) -> ConstraintSet:
+    """None, or one clause over two random value tests."""
+    if rng.random() < 0.5:
+        return ConstraintSet()
+    (f, v), (g, w) = [
+        (feat.index, rng.choice(feat.domain)) for feat in rng.choices(space.features, k=2)
+    ]
+    return ConstraintSet((Constraint(Or((Eq(f, v), Not(Eq(g, w))))),))
+
+
+class TestTreeCover:
+    def test_every_instance_satisfies_the_leaf_clauses_of_its_own_label_only(self):
+        rng = random.Random(20)
+        single_leaf = unreachable = 0
+        protected_tests = set()
+        for _ in range(150):
+            space, k = random_tree(rng)
+            formula = encode_ftu(space, ConstraintSet(), k)
+            assert gate_count(formula) == 0
+            instances = unconstrained(space).instances
+            assert_cover_selects_the_label(formula, space, k, instances)
+            cover = _cover(k, space)
+            for x in instances:  # the leaf it reaches
+                assert sum(in_cube(x, held, failed) for _, held, failed in cover) == 1
+            single_leaf += len(k.nodes) == 1
+            # a leaf no instance reaches passes two tests on one feature
+            unreachable += any(len({f for f, _ in held}) < len(held) for _, held, _ in cover)
+            protected_tests |= {
+                any(i in space.protected for i, _ in held + failed) for _, held, failed in cover
+            }
+        assert single_leaf and unreachable and protected_tests == {True, False}
+
+    def test_search_agrees_with_exhaustive_on_random_trees(self):
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(150):
+            space, k = random_tree(rng)
+            constraints = random_constraint(rng, space)
+            cs = enumerate_space(space, constraints)
+            fair = check_ftu(cs, k, "exhaustive")[0]
+            formula = encode_ftu(space, constraints, k)
+            result = search(formula)
+            assert result.satisfiable == (not fair)
+            if result.satisfiable:
+                decode_model(formula, result.model, cs, k)
+            seen.add(fair)
+        assert seen == {True, False}
+
+    def test_failed_tests_on_a_passed_feature_drop_out(self):
+        # n = 0 failed, then n = 1 passed: the cubes under n = 1 keep no
+        # test n = 0, and none keeps the failed n = 2 below it; the
+        # branch where n = 2 passes too is reached by no instance
+        space = FeatureSpace([Feature(0, "n", (0, 1, 2), False), Feature(1, "p", B, True)])
+        nodes = (
+            TreeNode(0, 0, 0, 1, 2),
+            TreeLeaf(1, 0),
+            TreeNode(2, 0, 1, 3, 4),
+            TreeNode(3, 0, 2, 5, 6),
+            TreeLeaf(4, 1),
+            TreeLeaf(5, 1),
+            TreeNode(6, 1, True, 7, 8),
+            TreeLeaf(7, 1),
+            TreeLeaf(8, 0),
+        )
+        k = TreeClassifier(nodes, 0, 2)
+        assert _cover(k, space) == [
+            (0, ((0, 0),), ()),
+            (1, ((0, 1), (0, 2)), ()),
+            (1, ((0, 1), (1, True)), ()),
+            (0, ((0, 1),), ((1, True),)),
+            (1, (), ((0, 0), (0, 1))),
+        ]
+        assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable
 
 
 class TestEngineAgreement:
