@@ -8,9 +8,11 @@ fixtures/snapshots/encode_random.sha256. The explain command is pinned
 the same way in fixtures/snapshots/explain.sha256: per fixture, the
 sha256 of its exit codes and standard output at every instance of the
 full space, with and without --ignore-constraints, in JSON and in text.
-Before any digest is compared, the search on each of those FTU queries
-is checked against exhaustive FTU, and a satisfying model must decode
-to a witness pair; a disagreement fails the run.
+Before any digest is compared, the search on each of those FTU queries,
+and on those of 50 seeded tables and trees whose label reads a
+protected feature on some projections only (not pinned), is checked
+against exhaustive FTU, and a satisfying model must decode to a witness
+pair; a disagreement fails the run.
 
     python3 scripts/audit_all_fixtures.py            # compare
     python3 scripts/audit_all_fixtures.py --write    # regenerate
@@ -31,7 +33,7 @@ from fairaudit.classifier import parse_classifier
 from fairaudit.cli import main as cli_main
 from fairaudit.fairness import check_ftu
 from fairaudit.model import enumerate_space, parse_document, unconstrained
-from fairaudit.randmodels import random_model
+from fairaudit.randmodels import random_model, random_partly_protected
 from fairaudit.satcheck import (
     decode_model,
     encode_ftu_counterexample,
@@ -46,6 +48,7 @@ CNF_DIGESTS = SNAPSHOTS / "export_cnf.sha256"
 RANDOM_DIGESTS = SNAPSHOTS / "encode_random.sha256"
 EXPLAIN_DIGESTS = SNAPSHOTS / "explain.sha256"
 RANDOM_MODELS = 300
+PARTLY_PROTECTED_MODELS = 50
 
 
 def audit_report(path: Path) -> str:
@@ -128,6 +131,21 @@ def random_encoding_digests(faults: list[str]) -> str:
     return "".join(lines)
 
 
+def partly_protected_faults() -> list[str]:
+    """search_fault on the FTU query of each seeded
+    `random_partly_protected` model: its cover has both cubes with no
+    label, where no protected change alters the label, and labelled
+    ones, so the check meets both."""
+    faults = []
+    for seed in range(PARTLY_PROTECTED_MODELS):
+        m = random_partly_protected(random.Random(seed))
+        cs = enumerate_space(m.space, m.constraints)
+        fault = search_fault(cs, m.classifier, encode_ftu_counterexample(cs, m.classifier))
+        if fault:
+            faults.append(f"partly protected model seed {seed}: {fault}")
+    return faults
+
+
 def compare_digests(
     path: Path, text: str, write: bool, stale: list[str], what: str = "CNF output"
 ) -> None:
@@ -151,11 +169,15 @@ def main() -> int:
     fixtures = sorted(FIXTURES.glob("*.json"))
     faults = [f"{p.name}: {fault}" for p in fixtures if (fault := fixture_search_fault(p))]
     random_digests = random_encoding_digests(faults)
+    faults += partly_protected_faults()
     if faults:  # nothing is compared, or written, over a wrong answer
         for line in faults:
             print(f"WRONG {line}")
         return 1
-    print(f"ok search agrees with exhaustive FTU on every fixture and {RANDOM_MODELS} random models")
+    print(
+        f"ok search agrees with exhaustive FTU on every fixture, {RANDOM_MODELS} random "
+        f"models and {PARTLY_PROTECTED_MODELS} partly protected models"
+    )
 
     stale = []
     digests = []

@@ -9,9 +9,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .boolexpr import And, BoolExpr, Const, Eq, Iff, Implies, Le, Lt, Not, Or, Var
-from .classifier import Classifier, ExpressionClassifier, expression_to_tree, to_table
+from .classifier import (
+    Classifier,
+    ExpressionClassifier,
+    TableClassifier,
+    TreeClassifier,
+    TreeLeaf,
+    TreeNode,
+    expression_to_tree,
+    to_table,
+)
 from .model import Constraint, ConstraintSet, Feature, FeatureSpace
 
 
@@ -135,6 +145,66 @@ def random_model(
     space = random_space(rng, max_features=max_features, max_domain=max_domain)
     constraints = random_constraints(rng, space, profile)
     return RandomModel(space, constraints, random_classifier(rng, space))
+
+
+def random_partly_protected(rng: random.Random) -> RandomModel:
+    """A table or a tree whose label reads a protected feature on some
+    projections only, under random constraints: 2-5 features, domains of
+    up to 3 values, some protected and some not. The unprotected values
+    give a base label, and on a random part of the projections, never
+    none and never all, the test q = v of one protected feature moves it
+    on by one class. A tree tests unprotected features above its leaves
+    (up to 3 deep), and the leaves it picks become tests of q = v."""
+    n = rng.randint(2, 5)
+    protected = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    features = []
+    for i in range(n):
+        domain = (False, True) if rng.random() < 0.6 else tuple(range(rng.randint(2, 3)))
+        features.append(Feature(i, f"f{i}", domain, i in protected))
+    space = FeatureSpace(features)
+    constraints = random_constraints(rng, space)
+    classes = rng.randint(2, 3)
+    q = rng.choice(sorted(protected))
+    v = rng.choice(space.features[q].domain)
+    unprotected = sorted(space.unprotected)
+    if rng.random() < 0.5:
+        domains = tuple(f.domain for f in space.features)
+        projections = list(product(*(domains[i] for i in unprotected)))
+        base = {p: rng.randrange(classes) for p in projections}
+        reads = set(rng.sample(projections, rng.randint(1, len(projections) - 1)))
+        labels = []
+        for x in product(*domains):
+            p = tuple(x[i] for i in unprotected)
+            labels.append((base[p] + (p in reads and x[q] == v)) % classes)
+        return RandomModel(space, constraints, TableClassifier(domains, tuple(labels), classes))
+    nodes: list = []
+    leaves: list[int] = []
+
+    def grow(depth: int, tested: frozenset) -> int:
+        node_id = len(nodes)
+        nodes.append(None)
+        tests = [(i, w) for i in unprotected for w in space.features[i].domain]
+        tests = [t for t in tests if t not in tested]
+        if tested and (not depth or not tests or rng.random() < 0.3):
+            leaves.append(node_id)  # the root is always a test: two leaves or more
+            return node_id
+        i, w = rng.choice(tests)
+        if_true = grow(depth - 1, tested | {(i, w)})
+        if_false = grow(depth - 1, tested | {(i, w)})
+        nodes[node_id] = TreeNode(node_id, i, w, if_true, if_false)
+        return node_id
+
+    grow(3, frozenset())
+    reads = set(rng.sample(leaves, rng.randint(1, len(leaves) - 1)))
+    for leaf in leaves:
+        base = rng.randrange(classes)
+        if leaf in reads:
+            t, f = len(nodes), len(nodes) + 1
+            nodes += [TreeLeaf(t, (base + 1) % classes), TreeLeaf(f, base)]
+            nodes[leaf] = TreeNode(leaf, q, v, t, f)
+        else:
+            nodes[leaf] = TreeLeaf(leaf, base)
+    return RandomModel(space, constraints, TreeClassifier(tuple(nodes), 0, classes))
 
 
 def random_dnf(rng: random.Random, variables: int) -> list[list[tuple[int, bool]]]:

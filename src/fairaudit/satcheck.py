@@ -13,12 +13,15 @@ distinct subformula; both copies then emit the same nodes in the same
 order, one literal per node and a Tseitin gate for each connective and
 for each comparison that splits its feature's domain, except that y
 reuses x's literal for a node whose scope holds no protected feature.
-A table or a tree is a cover of cubes (_cover): each label's prime
+A table or a tree is a cover of cubes (_cover). Its free region, the
+instances whose label no change of the protected features alone can
+alter, is covered by cubes with no label and no protected test, each
+ruled out by one clause: such a cube holds in both copies or in
+neither. The rest is covered by cubes of one label each, prime
 implicants over the table's own domains (explain._prime_cubes, at most
-TABLE_LIMIT rows), or the tree's leaves' paths. A cube with a protected
-test gives a clause per copy ending in its label's selector, and a
-clause per class keeps the copies off the same selector; any other cube
-is ruled out by one clause.
+TABLE_LIMIT rows) or the tree's leaves' paths; each gives a clause per
+copy ending in its label's selector, and a clause per class keeps the
+copies off the same selector.
 search() is the internal engine, a deterministic conflict-driven
 clause-learning (CDCL) solver: two watched literals, 1-UIP learning,
 non-chronological backjumping and an activity order on decisions. The
@@ -41,6 +44,7 @@ from .classifier import (
     TableClassifier,
     TreeClassifier,
     TreeLeaf,
+    TreeNode,
 )
 from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance, unconstrained
@@ -336,17 +340,37 @@ def encode_ftu_counterexample(cs: ConstrainedSpace, k: Classifier) -> CnfFormula
 
 
 def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tuple]:
-    """Cubes ``(label, held, failed)`` such that an instance of the space
-    lies in a cube of its own label and in none of another: ``held``
-    lists the (feature, value) tests the cube's instances pass, ``failed``
-    those they fail. A value off the space's domain reads the false
-    constant. A table's cubes are each label's prime implicants over the
-    table's own domains (explain._prime_cubes, at most TABLE_LIMIT rows).
-    A tree's are its leaves' paths, depth first, true branch first, with
-    an explicit stack: a chain of tests can be deeper than the recursion
-    limit. A path's failed tests on a feature it passes a test on drop
-    out: the value it passes implies them (by a one-hot group's
-    at-most-one), and a chain of failed tests would make long clauses."""
+    """Cubes ``(label, held, failed)``: ``held`` lists the (feature,
+    value) tests the cube's instances pass, ``failed`` those they fail,
+    and a value off the space's domain reads the false constant. The
+    free region, the instances whose label no change of the protected
+    features alone can alter, is covered by cubes with no label (None)
+    and no protected test; an instance outside it lies in a cube of its
+    own label and in none of another, and every such cube tests a
+    protected feature.
+
+    A table's free region is every rank whose projection off the
+    protected features gets one label over the table's own domains (at
+    most TABLE_LIMIT rows); its cubes are the region's prime implicants
+    (explain._prime_cubes), and label c's are the primes of its rows and
+    the free region that meet c's rows outside it. Such a prime tests a
+    protected feature, for leaving them all free would reach a row of
+    another label outside the free region. A free instance may lie in a
+    prime of another label too; a free cube rules it out all the same.
+
+    A tree's free region is cut where its walk, depth first and true
+    branch first, reaches a node with no protected test on its path or
+    below it: that node's path is one cube, for two instances equal off
+    the protected features both reach it and then pass the same tests
+    to the same leaf. Every other path ends in a leaf and carries its
+    label. The nodes with a protected test below them are the tests of
+    a protected feature and their ancestors, marked up from those tests
+    first. Both walks use an explicit stack, since a chain of tests can
+    be deeper than the recursion limit. A path's failed tests on a
+    feature it passes a test on drop out: the value it passes implies
+    them (by a one-hot group's at-most-one), and a chain of failed tests
+    would make long clauses."""
+    protected = space.protected
     if isinstance(k, TableClassifier):
         size = len(k.labels)
         if size > TABLE_LIMIT:
@@ -354,26 +378,54 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
                 f"table classifier with {size} rows exceeds the clause-expansion "
                 f"limit {TABLE_LIMIT}"
             )
+        # a space value the table lacks is an instance it gives no label
+        if len(k.domains) != space.n or any(
+            v not in d for f, d in zip(space.features, k.domains) for v in f.domain
+        ):
+            raise ModelSemanticError("table domains differ from the space's")
         table = unconstrained(
             FeatureSpace([replace(f, domain=d) for f, d in zip(space.features, k.domains)])
         )
-        return [
+        by_label = table.label_masks(k)
+        seen = mixed = 0  # mixed: the ranks whose projection has two labels
+        for rows in by_label.values():
+            projection = table.exists(rows, protected)
+            mixed |= seen & projection
+            seen |= projection
+        free = table.sel & ~mixed
+        return [(None, cube, ()) for cube in explain._prime_cubes(table, free, free)] + [
             (c, cube, ())
-            for c, rows in table.label_masks(k).items()
-            for cube in explain._prime_cubes(table, rows, rows)
+            for c, rows in by_label.items()
+            for cube in explain._prime_cubes(table, rows | free, rows & mixed)
         ]
-    cover = []
-    stack: list[tuple[int, tuple, tuple]] = [(k.root, (), ())]
+    parents: dict[int, list[int]] = {}
+    stack = []
+    for node in k.nodes:
+        if isinstance(node, TreeNode):
+            parents.setdefault(node.if_true, []).append(node.id)
+            parents.setdefault(node.if_false, []).append(node.id)
+            if node.feature in protected:
+                stack.append(node.id)
+    scoped: set[int] = set()  # the nodes with a protected test at or below them
     while stack:
-        node_id, held, failed = stack.pop()
+        node_id = stack.pop()
+        if node_id not in scoped:
+            scoped.add(node_id)
+            stack += parents.get(node_id, ())
+    cover = []
+    walk: list[tuple[int, tuple, tuple, bool]] = [(k.root, (), (), False)]
+    while walk:
+        node_id, held, failed, tested = walk.pop()  # tested: the path tests a protected feature
         node = k._by_id[node_id]
-        if isinstance(node, TreeLeaf):
+        if isinstance(node, TreeLeaf) or not (tested or node_id in scoped):
             passed = {f for f, _ in held}
-            cover.append((node.label, held, tuple(t for t in failed if t[0] not in passed)))
+            failed = tuple(t for t in failed if t[0] not in passed)
+            cover.append((node.label if tested else None, held, failed))
             continue
         test = (node.feature, node.value)
-        stack.append((node.if_false, held, failed + (test,)))
-        stack.append((node.if_true, held + (test,), failed))
+        tested = tested or node.feature in protected
+        walk.append((node.if_false, held, failed + (test,), tested))
+        walk.append((node.if_true, held + (test,), failed, tested))
     return cover
 
 

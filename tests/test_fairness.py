@@ -115,17 +115,18 @@ class TestFtu:
             ftu_at(loaded.constrained(), loaded.classifier, (True, True, False))
 
     @pytest.mark.parametrize(
-        "space_domain, table_domain",
-        [((0, 1, 2), (0, 1, 2, 5)), ((0, 1, 2), (0, 1)), ((0, 1), B)],
+        "space_domain, table_domain, searched",
+        [((0, 1, 2), (0, 1, 2, 5), True), ((0, 1, 2), (0, 1), False), ((0, 1), B, True)],
         ids=["wider", "narrower", "typed"],
     )
     def test_a_table_over_other_domains_is_refused_by_the_mask_engine(
-        self, space_domain, table_domain
+        self, space_domain, table_domain, searched
     ):
         # the table's rows are laid out over its own domain of n, not
         # the space's; (False, True) equals (0, 1) but for its types.
         # Exhaustive FTU reads label masks and must refuse; the search
-        # reads the table's cubes and still answers
+        # reads the table's cubes and still answers, unless the table
+        # lacks a value of the space's, which it gives no label
         space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "n", space_domain, True)])
         domains = (B, table_domain)
         labels = tuple(int(n == 5) for _, n in itertools.product(*domains))
@@ -133,7 +134,23 @@ class TestFtu:
         cs = unconstrained(space)
         with pytest.raises(ModelSemanticError, match="table domains"):
             check_ftu(cs, k, "exhaustive")
-        assert check_ftu(cs, k, "search") == (True, None)
+        if searched:
+            assert check_ftu(cs, k, "search") == (True, None)
+        else:
+            with pytest.raises(ModelSemanticError, match="table domains"):
+                check_ftu(cs, k, "search")
+
+    def test_the_search_refuses_a_table_without_a_value_of_the_space(self):
+        # protected n has the value 2 in the space and none in the table,
+        # whose label reads n: the search used to leave n = 2 in no cube
+        # and could decode a witness the table cannot label
+        space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "n", (0, 1, 2), True)])
+        domains = (B, (0, 1))
+        labels = tuple(int(n == 1) for _, n in itertools.product(*domains))
+        k = TableClassifier(domains, labels, 2)
+        for cs in (unconstrained(space), unconstrained(space.with_protected(()))):
+            with pytest.raises(ModelSemanticError, match="table domains differ"):
+                check_ftu(cs, k, "search")
 
     def test_multiclass_tables_match_the_pairwise_oracle(self):
         rng = random.Random(41)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from fairaudit import (
     unconstrained,
 )
 from fairaudit import satcheck
-from fairaudit.boolexpr import And, Eq, Not, Or, Var, simplify
+from fairaudit.boolexpr import And, Eq, Not, Or, Var, evaluate, simplify
 from fairaudit.classifier import (
     TableClassifier,
     TreeClassifier,
@@ -41,7 +43,13 @@ from fairaudit.model import (
     FeatureSpace,
     parse_document,
 )
-from fairaudit.randmodels import dnf_to_expr, eval_dnf, random_dnf, random_model
+from fairaudit.randmodels import (
+    dnf_to_expr,
+    eval_dnf,
+    random_dnf,
+    random_model,
+    random_partly_protected,
+)
 from fairaudit.satcheck import TABLE_LIMIT, _cover
 
 B = (False, True)
@@ -99,7 +107,10 @@ def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
 def ftu_shaped_formula(seed: int, fair: bool) -> CnfFormula:
     """The FTU query of a random table over 9 boolean features, every
     fourth protected, with a clause on f0, f4 and on consecutive
-    unprotected pairs; an unfair table flips one label where f8 holds."""
+    unprotected pairs; an unfair table flips one label where f8 holds.
+    A fair one flips its label where f8 holds only at instances that
+    break the f0, f4 clause: it reads the protected features on every
+    projection, and only the constraints hide them."""
     rng = random.Random(seed)
     space = FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(9)])
     unprotected = sorted(space.unprotected)
@@ -116,7 +127,8 @@ def ftu_shaped_formula(seed: int, fair: bool) -> CnfFormula:
     labels = []
     for x in itertools.product(B, repeat=9):
         p = tuple(x[i] for i in unprotected)
-        labels.append(by_projection[p] ^ (not fair and p == twist and x[8]))
+        flip = not evaluate(constraints.constraints[0].expr, x) if fair else p == twist
+        labels.append(by_projection[p] ^ (flip and x[8]))
     k = TableClassifier((B,) * 9, tuple(labels), 2)
     return encode_ftu_counterexample(enumerate_space(space, constraints), k)
 
@@ -135,26 +147,50 @@ def in_cube(x, held, failed) -> bool:
     return all(x[i] == v for i, v in held) and all(x[i] != v for i, v in failed)
 
 
+def protected_variants(space: FeatureSpace, x) -> list[tuple]:
+    """x with every combination of the protected features' values."""
+    protected = sorted(space.protected)
+    variants = []
+    for values in itertools.product(*(space.features[i].domain for i in protected)):
+        y = list(x)
+        for i, v in zip(protected, values):
+            y[i] = v
+        variants.append(tuple(y))
+    return variants
+
+
+def assert_cover_holds_the_labels(space: FeatureSpace, k, instances, cover) -> None:
+    """A cube carries no label exactly when it has no protected test.
+    Every instance lies in a cube; when one of its cubes carries no
+    label, every protected variant of the instance gets its label, and
+    otherwise every cube it lies in carries its label."""
+    for label, held, failed in cover:
+        assert (label is None) == (not any(i in space.protected for i, _ in held + failed))
+    for x in instances:
+        label = k.evaluate(x)
+        labels = {c for c, held, failed in cover if in_cube(x, held, failed)}
+        if None in labels:
+            assert {k.evaluate(y) for y in protected_variants(space, x)} == {label}
+        else:
+            assert labels == {label}
+
+
 def assert_cover_selects_the_label(formula: CnfFormula, space: FeatureSpace, k, instances):
-    """Every instance lies in a cube of its own label and in none of
-    another. Take the clauses on copy x alone (its feature variables, the
-    true constant and its selectors) with sel.x.c the only selector set
-    true: an instance satisfies them all exactly when c is its label and
-    it lies in no cube without a protected test, which one clause with no
+    """The cover holds the labels (assert_cover_holds_the_labels). Take
+    the clauses on copy x alone (its feature variables, the true constant
+    and its selectors) with sel.x.c the only selector set true: an
+    instance satisfies them all exactly when c is its label and it lies
+    in no cube without a protected test, which one clause with no
     selector rules out."""
     cover = _cover(k, space)
-    shared = [
-        (held, failed)
-        for _, held, failed in cover
-        if not any(i in space.protected for i, _ in held + failed)
-    ]
+    assert_cover_holds_the_labels(space, k, instances, cover)
+    shared = [(held, failed) for label, held, failed in cover if label is None]
     by_name = {name: var for var, name in formula.comment_map.items()}
     sel = [by_name[f"sel.x.{c}"] for c in range(k.class_count)]
     own = {var for name, var in by_name.items() if name.startswith(("x.", "const.", "sel.x."))}
     clauses = [clause for clause in formula.clauses if all(abs(lit) in own for lit in clause)]
     for x in instances:
         label = k.evaluate(x)
-        assert {c for c, held, failed in cover if in_cube(x, held, failed)} == {label}
         model = {by_name.get("const.true"): True}
         for var, name in formula.comment_map.items():
             tag, _, rest = name.partition(".")
@@ -381,17 +417,28 @@ class TestEncoding:
             assert search(formula).satisfiable == (not check_ftu(cs, base)[0])
 
     def test_cover_of_a_chain_deeper_than_the_recursion_limit(self, chain_tree_document):
-        space, _, k_obj = parse_document(chain_tree_document)
+        # the chain's last test fails into a test of the protected m, so
+        # every test of the chain has a protected test below it, and both
+        # walks of the cover go 1,500 tests deep
+        document = json.loads(chain_tree_document)
+        nodes = document["classifier"]["nodes"]
+        nodes[1499]["if_false"] = 3001
+        nodes += [
+            {"id": 3001, "feature": "m", "value": True, "if_true": 3002, "if_false": 3003},
+            {"id": 3002, "label": 1},
+            {"id": 3003, "label": 0},
+        ]
+        space, _, k_obj = parse_document(json.dumps(document))
         k = parse_classifier(k_obj, space)
         cover = _cover(k, space)
-        assert len(cover) == 1501
+        assert [label for label, _, _ in cover] == [None] * 1500 + [1, 0]
         instances = list(itertools.product(*(f.domain for f in space.features)))
         rng = random.Random(3)
         edges = [2 * n + m for n in (0, 1, 699, 700, 701, 1499, 1500) for m in (0, 1)]
-        for r in edges + rng.sample(range(len(instances)), 100):
-            x = instances[r]
-            (label,) = [c for c, held, failed in cover if in_cube(x, held, failed)]
-            assert label == k.evaluate(x)
+        sample = [instances[r] for r in edges + rng.sample(range(len(instances)), 100)]
+        assert_cover_holds_the_labels(space, k, sample, cover)
+        for x in sample:
+            assert sum(in_cube(x, held, failed) for _, held, failed in cover) == 1
 
     @pytest.mark.parametrize("fair", [True, False])
     def test_table_values_off_the_space_domain_never_hold(self, fair):
@@ -653,7 +700,12 @@ class TestTableCover:
         labels = tuple(sum(x[first:]) % 2 for x in itertools.product(*domains))
         k = TableClassifier(domains, labels, 2)
         assert len(k.labels) == TABLE_LIMIT
-        assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable == (not fair)
+        # no protected change alters parity over the unprotected features
+        # alone, so its cover is one cube with no label: the false clause
+        assert (_cover(k, space) == [(None, (), ())]) == fair
+        result = search(encode_ftu(space, ConstraintSet(), k))
+        assert result.satisfiable == (not fair)
+        assert result.nodes == 0 or not fair
 
 
 def random_tree(rng: random.Random):
@@ -712,7 +764,7 @@ class TestTreeCover:
             instances = unconstrained(space).instances
             assert_cover_selects_the_label(formula, space, k, instances)
             cover = _cover(k, space)
-            for x in instances:  # the leaf it reaches
+            for x in instances:  # the node where its walk stops
                 assert sum(in_cube(x, held, failed) for _, held, failed in cover) == 1
             single_leaf += len(k.nodes) == 1
             # a leaf no instance reaches passes two tests on one feature
@@ -741,28 +793,158 @@ class TestTreeCover:
     def test_failed_tests_on_a_passed_feature_drop_out(self):
         # n = 0 failed, then n = 1 passed: the cubes under n = 1 keep no
         # test n = 0, and none keeps the failed n = 2 below it; the
-        # branch where n = 2 passes too is reached by no instance
+        # branch where n = 2 passes too is reached by no instance. Only
+        # the p test's leaves carry a label: the walk stops at every
+        # other leaf and at the n = 2 test under n != 1, with no
+        # protected test on its path or below it
         space = FeatureSpace([Feature(0, "n", (0, 1, 2), False), Feature(1, "p", B, True)])
         nodes = (
             TreeNode(0, 0, 0, 1, 2),
             TreeLeaf(1, 0),
             TreeNode(2, 0, 1, 3, 4),
             TreeNode(3, 0, 2, 5, 6),
-            TreeLeaf(4, 1),
+            TreeNode(4, 0, 2, 9, 10),
             TreeLeaf(5, 1),
             TreeNode(6, 1, True, 7, 8),
             TreeLeaf(7, 1),
             TreeLeaf(8, 0),
+            TreeLeaf(9, 1),
+            TreeLeaf(10, 0),
         )
         k = TreeClassifier(nodes, 0, 2)
-        assert _cover(k, space) == [
-            (0, ((0, 0),), ()),
-            (1, ((0, 1), (0, 2)), ()),
+        cover = _cover(k, space)
+        assert cover == [
+            (None, ((0, 0),), ()),
+            (None, ((0, 1), (0, 2)), ()),
             (1, ((0, 1), (1, True)), ()),
             (0, ((0, 1),), ((1, True),)),
-            (1, (), ((0, 0), (0, 1))),
+            (None, (), ((0, 0), (0, 1))),
         ]
+        assert_cover_holds_the_labels(space, k, unconstrained(space).instances, cover)
         assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable
+
+
+def wide_space(rng: random.Random, n: int) -> tuple[FeatureSpace, ConstraintSet]:
+    """n booleans, every fourth protected, and n/2 random clauses of
+    three literals: past the enumeration cap from about 25 features."""
+    space = FeatureSpace([Feature(i, f"f{i}", B, i % 4 == 0) for i in range(n)])
+    clauses = [
+        Constraint(Or(tuple(Var(i) if rng.random() < 0.5 else Not(Var(i)) for i in picked)))
+        for picked in (rng.sample(range(n), 3) for _ in range(n // 2))
+    ]
+    return space, ConstraintSet(tuple(clauses))
+
+
+def grow_unprotected(rng: random.Random, space: FeatureSpace, depth: int) -> list:
+    """The nodes of a random tree of unprotected boolean tests, root 0, at
+    most depth tests deep, each node a leaf with probability 0.1, no
+    feature tested twice on a path."""
+    nodes: list = []
+
+    def grow(depth: int, tested: frozenset) -> int:
+        node_id = len(nodes)
+        nodes.append(None)
+        free = [i for i in sorted(space.unprotected) if i not in tested]
+        if not depth or not free or rng.random() < 0.1:
+            nodes[node_id] = TreeLeaf(node_id, rng.randrange(2))
+            return node_id
+        i = rng.choice(free)
+        if_true = grow(depth - 1, tested | {i})
+        if_false = grow(depth - 1, tested | {i})
+        nodes[node_id] = TreeNode(node_id, i, True, if_true, if_false)
+        return node_id
+
+    grow(depth, frozenset())
+    return nodes
+
+
+class TestFreeRegion:
+    def test_partly_protected_models_get_both_kinds_of_cube(self):
+        # a label that reads a protected feature on some projections only:
+        # free cubes there, labelled ones elsewhere, and the search still
+        # agrees with exhaustive FTU under the constraints
+        rng = random.Random(22)
+        seen = set()
+        for _ in range(60):
+            m = random_partly_protected(rng)
+            k = m.classifier
+            cover = _cover(k, m.space)
+            assert {label is None for label, _, _ in cover} == {True, False}
+            assert_cover_holds_the_labels(m.space, k, unconstrained(m.space).instances, cover)
+            cs = enumerate_space(m.space, m.constraints)
+            fair = check_ftu(cs, k, "exhaustive")[0]
+            formula = encode_ftu(m.space, m.constraints, k)
+            result = search(formula)
+            assert result.satisfiable == (not fair)
+            if result.satisfiable:
+                decode_model(formula, result.model, cs, k)
+            seen.add((type(k), fair))
+        assert len(seen) == 4
+
+    def test_a_random_fair_tree_over_40_features_needs_no_decision(self):
+        # 6,344 leaves over the unprotected features: every instance lies
+        # in the root's free cube. The unfair twin tests f0 at its last
+        # leaf, and its witness is read off the model with no enumeration
+        rng = random.Random(3)
+        space, constraints = wide_space(rng, 40)
+        nodes = grow_unprotected(rng, space, 14)
+        k = TreeClassifier(tuple(nodes), 0, 2)
+        assert sum(isinstance(node, TreeLeaf) for node in nodes) == 6344
+        assert _cover(k, space) == [(None, (), ())]
+        result = search(encode_ftu(space, constraints, k))
+        assert (result.satisfiable, result.nodes) == (False, 0)
+        last = nodes[-1]
+        twin = TreeClassifier(
+            (
+                *nodes[:-1],
+                TreeNode(last.id, 0, True, len(nodes), len(nodes) + 1),
+                TreeLeaf(len(nodes), last.label),
+                TreeLeaf(len(nodes) + 1, 1 - last.label),
+            ),
+            0,
+            2,
+        )
+        formula = encode_ftu(space, constraints, twin)
+        result = search(formula)
+        assert result.satisfiable
+        var = {name: v for v, name in formula.comment_map.items()}
+        x = tuple(result.model[var[f"x.{f.name}"]] for f in space.features)
+        y = tuple(
+            result.model[var.get(f"y.{f.name}", var[f"x.{f.name}"])] for f in space.features
+        )
+        assert twin.evaluate(x) != twin.evaluate(y)
+        assert all(evaluate(c.expr, x) and evaluate(c.expr, y) for c in constraints)
+
+    @pytest.mark.parametrize("n, clauses, decisions", [(40, 977, 3834), (80, 741, 3520)])
+    def test_twin_subtrees_keep_their_clause_and_decision_counts(self, n, clauses, decisions):
+        # a root test of the protected f0 over two copies of one subtree:
+        # fair, and every path tests f0, so nothing is free and the query
+        # is the one the cover wrote before it had a free region
+        rng = random.Random(2)
+        space, constraints = wide_space(rng, n)
+        sub = grow_unprotected(rng, space, 8)
+        nodes: list = [TreeNode(0, 0, True, 1, 1 + len(sub))]
+        for offset in (1, 1 + len(sub)):
+            nodes += [
+                TreeLeaf(node.id + offset, node.label)
+                if isinstance(node, TreeLeaf)
+                else replace(
+                    node,
+                    id=node.id + offset,
+                    if_true=node.if_true + offset,
+                    if_false=node.if_false + offset,
+                )
+                for node in sub
+            ]
+        k = TreeClassifier(tuple(nodes), 0, 2)
+        assert all(label is not None for label, _, _ in _cover(k, space))
+        formula = encode_ftu(space, constraints, k)
+        result = search(formula)
+        assert (len(formula.clauses), result.satisfiable, result.nodes) == (
+            clauses,
+            False,
+            decisions,
+        )
 
 
 class TestEngineAgreement:
