@@ -8,17 +8,22 @@ label 1); tables and trees may carry any number of classes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence, Union
+from operator import add
+from typing import Mapping, NoReturn, Sequence, Union
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value
 from .errors import DocumentError, ModelSemanticError
 from .model import (
     ConstrainedSpace,
+    ConstraintSet,
     FeatureSpace,
     Instance,
+    canonical_document,
     flat_labels,
     pack_bits,
     rank_masks,
@@ -80,9 +85,9 @@ class TableClassifier:
             )
         if self.class_count < 2:
             raise ModelSemanticError("a classifier needs at least two classes")
-        for lab in self.labels:
-            if not 0 <= lab < self.class_count:
-                raise ModelSemanticError(f"label {lab} out of range")
+        if not 0 <= min(self.labels, default=0) <= max(self.labels, default=0) < self.class_count:
+            lab = next(lab for lab in self.labels if not 0 <= lab < self.class_count)
+            raise ModelSemanticError(f"label {lab} out of range")
         _hash_fields(self)
 
     __hash__ = _stored_hash
@@ -144,9 +149,16 @@ class TreeClassifier:
 
     def _check_paths(self) -> None:
         """Depth first from the root, with an explicit stack: an entry
-        (id, True) enters a node, (id, False) leaves it."""
+        (id, True) enters a node, (id, False) leaves it. Each node is
+        walked once. A node reached again by another path needs only its
+        tests checked against that path's: the first one repeated is the
+        one a walk of every path would meet first. The nodes in reverse
+        order of leaving are kept as a topological order."""
         on_path: set[int] = set()
         tested: set[tuple] = set()
+        left: list[int] = []
+        done: set[int] = set()
+        below: dict[int, frozenset] = {}
         stack = [(self.root, True)]
         while stack:
             node_id, entering = stack.pop()
@@ -154,23 +166,64 @@ class TreeClassifier:
             if not entering:
                 on_path.remove(node_id)
                 tested.remove((node.feature, node.value))
+                left.append(node_id)
+                done.add(node_id)
                 continue
             if node_id in on_path:
                 raise ModelSemanticError("tree contains a cycle")
+            if node_id in done:
+                if not tested.isdisjoint(self._tests_below(node_id, below)):
+                    raise _tested_twice(self._first_retest(node_id, tested))
+                continue
             if node is None:
                 raise ModelSemanticError(f"tree edge points to missing node {node_id}")
             if isinstance(node, TreeLeaf):
                 if not 0 <= node.label < self.class_count:
                     raise ModelSemanticError(f"leaf label {node.label} out of range")
+                left.append(node_id)
+                done.add(node_id)
                 continue
             test = (node.feature, node.value)
             if test in tested:
-                raise ModelSemanticError(
-                    f"path tests feature {node.feature} = {node.value!r} twice"
-                )
+                raise _tested_twice(node)
             on_path.add(node_id)
             tested.add(test)
             stack += [(node_id, False), (node.if_false, True), (node.if_true, True)]
+        object.__setattr__(self, "_order", left[::-1])
+
+    def _tests_below(self, top: int, below: dict[int, frozenset]) -> frozenset:
+        """The tests of the nodes under top, top's own included, kept in
+        below; every node under top was walked, so none is missing and
+        they hold no cycle."""
+        stack = [top]
+        while stack:
+            node = self._by_id[stack[-1]]
+            if node.id in below:
+                stack.pop()
+            elif isinstance(node, TreeLeaf):
+                below[stack.pop()] = frozenset()
+            elif node.if_true not in below or node.if_false not in below:
+                stack += [node.if_true, node.if_false]
+            else:
+                below[stack.pop()] = (
+                    below[node.if_true] | below[node.if_false] | {(node.feature, node.value)}
+                )
+        return below[top]
+
+    def _first_retest(self, top: int, tested: set[tuple]) -> TreeNode:
+        """In preorder from top, true branch first, each node once: the
+        first node whose test is in tested."""
+        seen: set[int] = set()
+        stack = [top]
+        while stack:
+            node = self._by_id[stack.pop()]
+            if node.id in seen or isinstance(node, TreeLeaf):
+                continue
+            if (node.feature, node.value) in tested:
+                return node
+            seen.add(node.id)
+            stack += [node.if_false, node.if_true]
+        raise AssertionError("no test under the node repeats one of the path")
 
     def evaluate(self, x: Instance) -> int:
         node = self._by_id[self.root]
@@ -180,21 +233,28 @@ class TreeClassifier:
         return node.label
 
     def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
-        """Each label's ranks are the OR of the masks of the root-to-leaf
-        paths ending in that label; a path's mask ANDs its tests."""
+        """Each label's ranks are the OR of the reaches of its leaves. A
+        node's reach, the ranks whose path passes it, goes to its
+        children in topological order, split by the node's test."""
         by_label: dict[int, int] = {}
-        stack = [(self.root, (1 << size) - 1)]
-        while stack:
-            node_id, reach = stack.pop()
+        reach = {self.root: (1 << size) - 1}
+        for node_id in self._order:
+            ranks = reach.pop(node_id, 0)
+            if not ranks:
+                continue
             node = self._by_id[node_id]
             if isinstance(node, TreeLeaf):
-                by_label[node.label] = by_label.get(node.label, 0) | reach
+                by_label[node.label] = by_label.get(node.label, 0) | ranks
                 continue
             hit = masks[node.feature].get(node.value, 0)
-            for child, sub in ((node.if_true, reach & hit), (node.if_false, reach & ~hit)):
-                if sub:  # no rank follows an empty path, so the walk stays finite
-                    stack.append((child, sub))
+            for child, sub in ((node.if_true, ranks & hit), (node.if_false, ranks & ~hit)):
+                if sub:
+                    reach[child] = reach.get(child, 0) | sub
         return by_label
+
+
+def _tested_twice(node: TreeNode) -> ModelSemanticError:
+    return ModelSemanticError(f"path tests feature {node.feature} = {node.value!r} twice")
 
 
 Classifier = Union[ExpressionClassifier, TableClassifier, TreeClassifier]
@@ -282,29 +342,68 @@ def parse_classifier(obj, space: FeatureSpace) -> Classifier:
 
 
 def _parse_table(obj: dict, space: FeatureSpace) -> TableClassifier:
+    """Rows may come in any order, each instance exactly once. They are
+    checked in bulk, a column at a time; when a check fails, the row by
+    row pass of _raise_first_bad_row names the first bad row."""
     rows = obj.get("rows")
     if not isinstance(rows, list):
         raise DocumentError("table classifier needs a 'rows' list")
     domains = tuple(f.domain for f in space.features)
-    mapping: dict[Instance, int] = {}
+    index = dict(zip(itertools.product(*domains), itertools.count()))
+    ranks = _table_ranks(rows, domains, index)
+    if ranks is None:
+        _raise_first_bad_row(rows, space)
+    if len(set(ranks)) < len(ranks):
+        seen: set[int] = set()
+        for i, r in enumerate(ranks):
+            if r in seen:
+                raise DocumentError(f"table row #{i} repeats instance {tuple(rows[i][:-1])!r}")
+            seen.add(r)
+    labels: list = [None] * len(index)
+    for r, row in zip(ranks, rows):
+        labels[r] = row[-1]
+    if len(ranks) < len(labels):
+        x = next(itertools.islice(index, labels.index(None), None))
+        raise DocumentError(f"table misses a row for instance {x!r}")
+    return TableClassifier(domains, tuple(labels), _class_count(obj, labels))
+
+
+def _table_ranks(rows: list, domains, index: dict) -> list[int] | None:
+    """Each row's rank in the full space, None unless every row is a
+    list of the space's values, each of its domain's exact type, and a
+    non-negative integer label."""
+    width = len(domains) + 1
+    if not all(map(isinstance, rows, itertools.repeat(list))):
+        return None
+    if set(map(len, rows)) - {width}:
+        return None
+    *columns, labels = zip(*rows) if rows else [()] * width
+    for column, d in zip(columns, domains):
+        if set(map(type, column)) - {type(d[0])}:
+            return None
+    if set(map(type, labels)) - {int} or min(labels, default=0) < 0:
+        return None
+    try:
+        return list(map(index.__getitem__, zip(*columns)))
+    except KeyError:  # a value outside its domain
+        return None
+
+
+def _raise_first_bad_row(rows: list, space: FeatureSpace) -> NoReturn:
+    """Raise the error of the first row that is malformed or repeats an
+    earlier one, for rows that failed a bulk check."""
+    seen: set[Instance] = set()
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != space.n + 1:
-            raise DocumentError(
-                f"table row #{i} must hold {space.n} values and a label"
-            )
+            raise DocumentError(f"table row #{i} must hold {space.n} values and a label")
         x = space.validate_instance(row[: space.n])
         label = row[space.n]
         if type(label) is not int or label < 0:
             raise DocumentError(f"table row #{i}: label must be a non-negative integer")
-        if x in mapping:
+        if x in seen:
             raise DocumentError(f"table row #{i} repeats instance {x!r}")
-        mapping[x] = label
-    labels = []
-    for x in itertools.product(*domains):
-        if x not in mapping:
-            raise DocumentError(f"table misses a row for instance {x!r}")
-        labels.append(mapping[x])
-    return TableClassifier(domains, tuple(labels), _class_count(obj, labels))
+        seen.add(x)
+    raise AssertionError("the bulk and row by row table checks disagree")
 
 
 def _parse_tree(obj: dict, space: FeatureSpace) -> TreeClassifier:
@@ -386,3 +485,35 @@ def classifier_to_json(k: Classifier, space: FeatureSpace) -> dict:
                 )
         return {"form": "tree", "nodes": nodes, "classes": k.class_count}
     raise TypeError(f"not a classifier: {k!r}")
+
+
+def model_digest(space: FeatureSpace, constraints: ConstraintSet, k: Classifier) -> str:
+    """The sha256 of the canonical document's compact JSON with sorted
+    keys, json.dumps(canonical_document(space, constraints,
+    classifier_to_json(k, space)), sort_keys=True, separators=(",", ":")).
+    A table's rows and a tree's nodes are written from strings instead:
+    each domain value's JSON once, then joins and format strings. A
+    tree's test value is looked up by ==, so a test of 1 on a boolean
+    feature is written true, as it evaluates."""
+    if isinstance(k, TableClassifier):
+        cells = [[json.dumps(v) + "," for v in d] for d in k.domains]
+        ends = {c: f"{c}]" for c in set(k.labels)}
+        rows = map(add, map("".join, itertools.product(*cells)), map(ends.__getitem__, k.labels))
+        k_text = f'{{"classes":{k.class_count},"form":"table","rows":[[' + ",[".join(rows) + "]}"
+    elif isinstance(k, TreeClassifier):
+        names = [json.dumps(f.name) for f in space.features]
+        values = [{v: json.dumps(v) for v in f.domain} for f in space.features]
+        nodes = [
+            f'{{"id":{node.id},"label":{node.label}}}'
+            if isinstance(node, TreeLeaf)
+            else f'{{"feature":{names[node.feature]},"id":{node.id},"if_false":{node.if_false},'
+            f'"if_true":{node.if_true},"value":{values[node.feature][node.value]}}}'
+            for node in k.nodes
+        ]
+        k_text = f'{{"classes":{k.class_count},"form":"tree","nodes":[' + ",".join(nodes) + "]}"
+    else:
+        k_text = json.dumps(classifier_to_json(k, space), sort_keys=True, separators=(",", ":"))
+    rest = json.dumps(canonical_document(space, constraints), sort_keys=True, separators=(",", ":"))
+    # "classifier" sorts before the document's other keys
+    text = '{"classifier":' + k_text + "," + rest[1:]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

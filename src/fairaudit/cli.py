@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
@@ -134,16 +133,7 @@ def _load(args) -> tuple[FeatureSpace, ConstraintSet, Classifier, str]:
     k = classifier_mod.parse_classifier(k_obj, space)
     if args.ignore_constraints:
         constraints = ConstraintSet()
-    digest = _digest(space, constraints, k)
-    return space, constraints, k, digest
-
-
-def _digest(space: FeatureSpace, constraints: ConstraintSet, k: Classifier) -> str:
-    canonical = model.canonical_document(
-        space, constraints, classifier_mod.classifier_to_json(k, space)
-    )
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return space, constraints, k, classifier_mod.model_digest(space, constraints, k)
 
 
 # ---------------------------------------------------------------------------
