@@ -368,7 +368,9 @@ def _parse_table(obj: dict, space: FeatureSpace) -> TableClassifier:
     return TableClassifier(domains, tuple(labels), _class_count(obj, labels))
 
 
-def _table_ranks(rows: list, domains, index: dict) -> list[int] | None:
+def _table_ranks(
+    rows: list, domains: tuple[tuple[Value, ...], ...], index: dict[Instance, int]
+) -> list[int] | None:
     """Each row's rank in the full space, None unless every row is a
     list of the space's values, each of its domain's exact type, and a
     non-negative integer label."""
