@@ -150,15 +150,16 @@ class TreeClassifier:
     def _check_paths(self) -> None:
         """Depth first from the root, with an explicit stack: an entry
         (id, True) enters a node, (id, False) leaves it. Each node is
-        walked once. A node reached again by another path needs only its
-        tests checked against that path's: the first one repeated is the
-        one a walk of every path would meet first. The nodes in reverse
-        order of leaving are kept as a topological order."""
+        entered once. A node reached again by another path needs only
+        the tests below it checked against that path's, by _first_retest;
+        so a tree without shared nodes costs one visit per node, and one
+        with them at most one walk of the nodes below per edge into a
+        shared node. The nodes in reverse order of leaving are kept as a
+        topological order."""
         on_path: set[int] = set()
         tested: set[tuple] = set()
         left: list[int] = []
         done: set[int] = set()
-        below: dict[int, frozenset] = {}
         stack = [(self.root, True)]
         while stack:
             node_id, entering = stack.pop()
@@ -172,8 +173,8 @@ class TreeClassifier:
             if node_id in on_path:
                 raise ModelSemanticError("tree contains a cycle")
             if node_id in done:
-                if not tested.isdisjoint(self._tests_below(node_id, below)):
-                    raise _tested_twice(self._first_retest(node_id, tested))
+                if hit := self._first_retest(node_id, tested):
+                    raise _tested_twice(hit)
                 continue
             if node is None:
                 raise ModelSemanticError(f"tree edge points to missing node {node_id}")
@@ -191,28 +192,11 @@ class TreeClassifier:
             stack += [(node_id, False), (node.if_false, True), (node.if_true, True)]
         object.__setattr__(self, "_order", left[::-1])
 
-    def _tests_below(self, top: int, below: dict[int, frozenset]) -> frozenset:
-        """The tests of the nodes under top, top's own included, kept in
-        below; every node under top was walked, so none is missing and
-        they hold no cycle."""
-        stack = [top]
-        while stack:
-            node = self._by_id[stack[-1]]
-            if node.id in below:
-                stack.pop()
-            elif isinstance(node, TreeLeaf):
-                below[stack.pop()] = frozenset()
-            elif node.if_true not in below or node.if_false not in below:
-                stack += [node.if_true, node.if_false]
-            else:
-                below[stack.pop()] = (
-                    below[node.if_true] | below[node.if_false] | {(node.feature, node.value)}
-                )
-        return below[top]
-
-    def _first_retest(self, top: int, tested: set[tuple]) -> TreeNode:
+    def _first_retest(self, top: int, tested: set[tuple]) -> TreeNode | None:
         """In preorder from top, true branch first, each node once: the
-        first node whose test is in tested."""
+        first node whose test is in tested, the one a walk of every path
+        would meet first; None when none is. Every node under top was
+        walked, so none is missing and they hold no cycle."""
         seen: set[int] = set()
         stack = [top]
         while stack:
@@ -223,7 +207,7 @@ class TreeClassifier:
                 return node
             seen.add(node.id)
             stack += [node.if_false, node.if_true]
-        raise AssertionError("no test under the node repeats one of the path")
+        return None
 
     def evaluate(self, x: Instance) -> int:
         node = self._by_id[self.root]
@@ -342,35 +326,34 @@ def parse_classifier(obj, space: FeatureSpace) -> Classifier:
 
 
 def _parse_table(obj: dict, space: FeatureSpace) -> TableClassifier:
-    """Rows may come in any order, each instance exactly once. They are
-    checked in bulk, a column at a time; when a check fails, the row by
-    row pass of _raise_first_bad_row names the first bad row."""
+    """Rows may come in any order, each instance exactly once. When they
+    number the space's instances, they are checked in bulk, a column at a
+    time, and each label is placed at its instance's rank. Otherwise, or
+    when a bulk check fails, the row by row pass of _refuse_rows names
+    the first bad row or missing instance. The rank index of the full
+    space is built only when the rows are as many as its instances, so
+    the cost is bounded by the document's size, however large the
+    space."""
     rows = obj.get("rows")
     if not isinstance(rows, list):
         raise DocumentError("table classifier needs a 'rows' list")
     domains = tuple(f.domain for f in space.features)
-    index = dict(zip(itertools.product(*domains), itertools.count()))
-    ranks = _table_ranks(rows, domains, index)
+    ranks = _table_ranks(rows, domains) if len(rows) == space.full_size() else None
     if ranks is None:
-        _raise_first_bad_row(rows, space)
+        _refuse_rows(rows, space)
     if len(set(ranks)) < len(ranks):
         seen: set[int] = set()
         for i, r in enumerate(ranks):
             if r in seen:
                 raise DocumentError(f"table row #{i} repeats instance {tuple(rows[i][:-1])!r}")
             seen.add(r)
-    labels: list = [None] * len(index)
+    labels: list = [None] * len(ranks)
     for r, row in zip(ranks, rows):
         labels[r] = row[-1]
-    if len(ranks) < len(labels):
-        x = next(itertools.islice(index, labels.index(None), None))
-        raise DocumentError(f"table misses a row for instance {x!r}")
     return TableClassifier(domains, tuple(labels), _class_count(obj, labels))
 
 
-def _table_ranks(
-    rows: list, domains: tuple[tuple[Value, ...], ...], index: dict[Instance, int]
-) -> list[int] | None:
+def _table_ranks(rows: list, domains: tuple[tuple[Value, ...], ...]) -> list[int] | None:
     """Each row's rank in the full space, None unless every row is a
     list of the space's values, each of its domain's exact type, and a
     non-negative integer label."""
@@ -385,15 +368,17 @@ def _table_ranks(
             return None
     if set(map(type, labels)) - {int} or min(labels, default=0) < 0:
         return None
+    index = dict(zip(itertools.product(*domains), itertools.count()))
     try:
         return list(map(index.__getitem__, zip(*columns)))
     except KeyError:  # a value outside its domain
         return None
 
 
-def _raise_first_bad_row(rows: list, space: FeatureSpace) -> NoReturn:
+def _refuse_rows(rows: list, space: FeatureSpace) -> NoReturn:
     """Raise the error of the first row that is malformed or repeats an
-    earlier one, for rows that failed a bulk check."""
+    earlier one; with none, name the first instance in canonical order
+    that no row gives. That search stops at most one past the rows."""
     seen: set[Instance] = set()
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != space.n + 1:
@@ -405,6 +390,9 @@ def _raise_first_bad_row(rows: list, space: FeatureSpace) -> NoReturn:
         if x in seen:
             raise DocumentError(f"table row #{i} repeats instance {x!r}")
         seen.add(x)
+    for x in itertools.product(*(f.domain for f in space.features)):
+        if x not in seen:
+            raise DocumentError(f"table misses a row for instance {x!r}")
     raise AssertionError("the bulk and row by row table checks disagree")
 
 

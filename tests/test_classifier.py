@@ -234,6 +234,30 @@ def test_table_rows_may_come_in_any_order(load_model):
         parse_classifier({"form": "table", "rows": missing}, space)
 
 
+ZEROS = (False,) * 40
+ONE = (False,) * 39 + (True,)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([], DocumentError, f"table misses a row for instance {ZEROS!r}"),
+        ([[*ONE, 1], [*ZEROS, 0]], DocumentError,
+         f"table misses a row for instance {(False,) * 38 + (True, False)!r}"),
+        ([[*ZEROS, 1], [*ZEROS, 0]], DocumentError, f"table row #1 repeats instance {ZEROS!r}"),
+        ([[*ZEROS, 1], [*ZEROS[:-1], 1, 0]], ModelSemanticError,
+         "value 1 is not in the domain of feature 'f39'"),
+    ],
+)
+def test_a_table_over_2_to_the_40_instances_is_refused_at_its_rows(rows, error, message):
+    """Nothing is sized by the full space before the rows are known to
+    cover it, so these refusals cost what the rows do."""
+    space, _ = _shared_chain(40)
+    with pytest.raises(error) as caught:
+        parse_classifier({"form": "table", "rows": rows}, space)
+    assert str(caught.value) == message
+
+
 def _leaf(i, label):
     return {"id": i, "label": label}
 
@@ -308,7 +332,7 @@ def _shared_chain(n: int) -> tuple:
     return space, k_obj
 
 
-def test_a_tree_with_shared_nodes_is_walked_once_per_node():
+def test_a_tree_with_shared_nodes_parses_without_walking_every_path():
     space, k_obj = _shared_chain(40)
     k = parse_classifier(k_obj, space)  # 2 ** 40 paths
     assert len(k.nodes) == 41
