@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, fields
 from operator import add
-from typing import Mapping, NoReturn, Sequence, Union
+from typing import Iterable, Mapping, NoReturn, Sequence, Union
 
 from . import boolexpr
 from .boolexpr import BoolExpr, Value
@@ -103,11 +103,20 @@ class TableClassifier:
 
     def label_masks(self, masks: RankMasks, size: int) -> dict[int, int]:
         """The rows are laid out over the table's own domains, so the
-        masks must be over those, types and all: (0, 1) == (False, True)."""
-        typed = lambda domains: [[(type(v), v) for v in d] for d in domains]
-        if typed(masks) != typed(self.domains):
+        masks must be over those, types and all: (0, 1) == (False, True).
+        Labels below 256 are one byte each, and label c's mask is read
+        off those bytes translated to the digits 1 at c and 0 elsewhere;
+        a larger label takes a pass over the rows per label."""
+        if not same_domains(masks, self.domains):
             raise ModelSemanticError("table domains differ from the space's")
-        return {c: pack_bits(map(c.__eq__, self.labels)) for c in set(self.labels)}
+        try:
+            flags = bytes(self.labels)
+        except ValueError:
+            return {c: pack_bits(map(c.__eq__, self.labels)) for c in set(self.labels)}
+        return {
+            c: int(flags.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2)
+            for c in set(flags)
+        }
 
 
 @dataclass(frozen=True)
@@ -235,6 +244,13 @@ class TreeClassifier:
                 if sub:
                     reach[child] = reach.get(child, 0) | sub
         return by_label
+
+
+def same_domains(a: Sequence[Iterable[Value]], b: Sequence[Iterable[Value]]) -> bool:
+    """Whether two lists of domains hold the same values in the same
+    order, types and all: (0, 1) and (False, True) differ."""
+    typed = lambda domains: [[(type(v), v) for v in d] for d in domains]
+    return typed(a) == typed(b)
 
 
 def _tested_twice(node: TreeNode) -> ModelSemanticError:

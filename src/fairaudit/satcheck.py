@@ -45,6 +45,7 @@ from .classifier import (
     TreeClassifier,
     TreeLeaf,
     TreeNode,
+    same_domains,
 )
 from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance, unconstrained
@@ -357,16 +358,22 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
     protected feature, for leaving them all free would reach a row of
     another label outside the free region. A free instance may lie in a
     prime of another label too; a free cube rules it out all the same.
+    When the table's domains are the space's, type for type
+    (classifier.same_domains), the space is the table's own and is used
+    as it is; a table with wider or differently typed domains gets a
+    space of its own domains.
 
     A tree's free region is cut where its walk, depth first and true
     branch first, reaches a node with no protected test on its path or
     below it: that node's path is one cube, for two instances equal off
     the protected features both reach it and then pass the same tests
     to the same leaf. Every other path ends in a leaf and carries its
-    label. The nodes with a protected test below them are the tests of
-    a protected feature and their ancestors, marked up from those tests
-    first. Both walks use an explicit stack, since a chain of tests can
-    be deeper than the recursion limit. A path's failed tests on a
+    label. The nodes with a protected test at or below them are found
+    first, in one pass over the reachable nodes with children before
+    parents (TreeClassifier._order reversed): a test is one when it
+    tests a protected feature or either child is one. The walk uses an
+    explicit stack, since a chain of tests can be deeper than the
+    recursion limit. A path's failed tests on a
     feature it passes a test on drop out: the value it passes implies
     them (by a one-hot group's at-most-one), and a chain of failed tests
     would make long clauses."""
@@ -383,9 +390,11 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
             v not in d for f, d in zip(space.features, k.domains) for v in f.domain
         ):
             raise ModelSemanticError("table domains differ from the space's")
-        table = unconstrained(
-            FeatureSpace([replace(f, domain=d) for f, d in zip(space.features, k.domains)])
-        )
+        if not same_domains([f.domain for f in space.features], k.domains):
+            space = FeatureSpace(
+                [replace(f, domain=d) for f, d in zip(space.features, k.domains)]
+            )
+        table = unconstrained(space)
         by_label = table.label_masks(k)
         seen = mixed = 0  # mixed: the ranks whose projection has two labels
         for rows in by_label.values():
@@ -398,20 +407,13 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
             for c, rows in by_label.items()
             for cube in explain._prime_cubes(table, rows | free, rows & mixed)
         ]
-    parents: dict[int, list[int]] = {}
-    stack = []
-    for node in k.nodes:
-        if isinstance(node, TreeNode):
-            parents.setdefault(node.if_true, []).append(node.id)
-            parents.setdefault(node.if_false, []).append(node.id)
-            if node.feature in protected:
-                stack.append(node.id)
     scoped: set[int] = set()  # the nodes with a protected test at or below them
-    while stack:
-        node_id = stack.pop()
-        if node_id not in scoped:
+    for node_id in reversed(k._order):
+        node = k._by_id[node_id]
+        if isinstance(node, TreeNode) and (
+            node.feature in protected or node.if_true in scoped or node.if_false in scoped
+        ):
             scoped.add(node_id)
-            stack += parents.get(node_id, ())
     cover = []
     walk: list[tuple[int, tuple, tuple, bool]] = [(k.root, (), (), False)]
     while walk:
@@ -762,7 +764,18 @@ def export_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_int(token: str) -> int:
+    """token as an int when it is [0-9]+, else ValueError: int() alone
+    would also read a sign, underscores and other scripts' digits. A
+    token longer than int()'s digit limit raises ValueError too."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_dimacs(text: str) -> CnfFormula:
+    """Read DIMACS CNF: literals are -?[0-9]+ and the header's counts
+    [0-9]+. A comment whose second word is a variable number names it."""
     variable_count = None
     expected = None
     clauses: list[tuple[int, ...]] = []
@@ -774,16 +787,19 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("c"):
             parts = line.split(maxsplit=2)
-            if len(parts) == 3 and parts[1].isdigit():
-                comments[int(parts[1])] = parts[2]
+            if len(parts) == 3:
+                try:
+                    comments[_ascii_int(parts[1])] = parts[2]
+                except ValueError:
+                    pass  # a comment of plain text
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DocumentError(f"bad DIMACS header on line {lineno}")
             try:
-                variable_count = int(parts[2])
-                expected = int(parts[3])
+                variable_count = _ascii_int(parts[2])
+                expected = _ascii_int(parts[3])
             except ValueError:
                 raise DocumentError(f"bad DIMACS header on line {lineno}") from None
             continue
@@ -791,7 +807,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DocumentError(f"clause before header on line {lineno}")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = -_ascii_int(tok[1:]) if tok.startswith("-") else _ascii_int(tok)
             except ValueError:
                 raise DocumentError(f"bad literal {tok!r} on line {lineno}") from None
             if lit == 0:

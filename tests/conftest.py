@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from fairaudit import enumerate_space, explain, unconstrained
-from fairaudit.classifier import parse_classifier
+from fairaudit.classifier import TreeClassifier, TreeLeaf, TreeNode, parse_classifier
 from fairaudit.model import parse_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -82,6 +82,27 @@ def chain_tree_document() -> str:
             "classifier": {"form": "tree", "nodes": chain + leaves},
         }
     )
+
+
+@pytest.fixture(scope="session")
+def random_shared_tree():
+    """A function (rng, space) -> a random 3-class tree whose nodes may
+    share children: distinct tests of the space in a random order, each
+    one's branches pointing at any later test or at one of two leaves.
+    A test no branch points at is unreachable."""
+
+    def make(rng, space) -> TreeClassifier:
+        tests = [(i, v) for i in range(space.n) for v in space.features[i].domain]
+        depth = rng.randint(1, len(tests))
+        chosen = rng.sample(tests, depth)
+        nodes = [
+            TreeNode(j, i, v, rng.randint(j + 1, depth), rng.randint(j + 1, depth + 1))
+            for j, (i, v) in enumerate(chosen)
+        ]
+        nodes += [TreeLeaf(depth, rng.randrange(3)), TreeLeaf(depth + 1, rng.randrange(3))]
+        return TreeClassifier(tuple(nodes), 0, 3)
+
+    return make
 
 
 def read_graph(name: str) -> dict:

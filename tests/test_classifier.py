@@ -18,16 +18,23 @@ from fairaudit import (
     unconstrained,
 )
 from fairaudit.classifier import (
+    TableClassifier,
     TreeClassifier,
     TreeLeaf,
-    TreeNode,
     classifier_to_json,
     expression_to_tree,
     model_digest,
     parse_classifier,
     to_table,
 )
-from fairaudit.model import ConstraintSet, canonical_document, parse_document
+from fairaudit.model import (
+    ConstraintSet,
+    Feature,
+    FeatureSpace,
+    canonical_document,
+    pack_bits,
+    parse_document,
+)
 from fairaudit.randmodels import random_expr, random_model, random_space
 
 B = (False, True)
@@ -346,22 +353,34 @@ def test_a_tree_with_shared_nodes_parses_without_walking_every_path():
         parse_classifier(k_obj, space)
 
 
-def test_label_masks_of_a_tree_with_shared_nodes_match_evaluate():
+def test_label_masks_of_a_tree_with_shared_nodes_match_evaluate(random_shared_tree):
     rng = random.Random(5)
     for _ in range(40):
         space = random_space(rng, max_features=5)
-        tests = [(i, v) for i in range(space.n) for v in space.features[i].domain]
-        depth = rng.randint(1, len(tests))
-        chosen = rng.sample(tests, depth)
-        nodes = [
-            TreeNode(j, i, v, rng.randint(j + 1, depth), rng.randint(j + 1, depth + 1))
-            for j, (i, v) in enumerate(chosen)
-        ]
-        nodes += [TreeLeaf(depth, rng.randrange(3)), TreeLeaf(depth + 1, rng.randrange(3))]
-        k = TreeClassifier(tuple(nodes), 0, 3)
+        k = random_shared_tree(rng, space)
         assert to_table(k, space).labels == tuple(
             k.evaluate(x) for x in itertools.product(*(f.domain for f in space.features))
         )
+
+
+@pytest.mark.parametrize("classes", [2, 3, 256, 300])
+def test_table_label_masks_match_a_pass_per_label(classes):
+    # labels up to 255 are read off their bytes; 300 classes give a
+    # label no byte holds, which takes the pass per label
+    rng = random.Random(classes)
+    space = FeatureSpace(
+        [
+            Feature(0, "a", B, True),
+            Feature(1, "n", tuple(range(10)), False),
+            Feature(2, "m", tuple(range(32)), False),
+        ]
+    )
+    labels = (classes - 1, *(rng.randrange(classes) for _ in range(639)))
+    k = TableClassifier(tuple(f.domain for f in space.features), labels, classes)
+    assert unconstrained(space).label_masks(k) == {
+        c: pack_bits(map(c.__eq__, labels)) for c in sorted(set(labels))
+    }
+    assert to_table(k, space).labels == k.labels
 
 
 def _reference_digest(space, constraints, k) -> str:

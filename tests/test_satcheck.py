@@ -49,6 +49,7 @@ from fairaudit.randmodels import (
     random_dnf,
     random_model,
     random_partly_protected,
+    random_space,
 )
 from fairaudit.satcheck import TABLE_LIMIT, _cover
 
@@ -234,11 +235,23 @@ class TestCnfValidation:
             ("p cnf two 1\n1 0\n", "bad DIMACS header on line 1"),
             ("p cnf 2 x\n1 0\n", "bad DIMACS header on line 1"),
             ("p cnf 2 1\n1 x 0\n", "bad literal 'x' on line 2"),
+            # int() reads these, DIMACS does not
+            ("p cnf 2 1\n\u0661 0\n", "bad literal '\u0661' on line 2"),
+            ("p cnf 12 1\n1_0 0\n", "bad literal '1_0' on line 2"),
+            ("p cnf 1_0 1\n1 0\n", "bad DIMACS header on line 1"),
+            ("p cnf 2 1\n+1 0\n", "bad literal '\\+1' on line 2"),
+            ("p cnf -1 0\n", "bad DIMACS header on line 1"),
         ],
     )
     def test_non_integer_dimacs_tokens_are_document_errors(self, text, message):
         with pytest.raises(DocumentError, match=message):
             parse_dimacs(text)
+
+    # "\u00b2".isdigit() holds, and int() refuses 5,000 digits
+    @pytest.mark.parametrize("word", ["\u00b2", "1" * 5000], ids=["superscript", "long"])
+    def test_a_comment_whose_second_word_names_no_variable_is_text(self, word):
+        formula = parse_dimacs(f"c {word} x\np cnf 1 1\n1 0\n")
+        assert (formula.comment_map, formula.clauses) == ({}, ((1,),))
 
 
 class TestSearch:
@@ -823,6 +836,53 @@ class TestTreeCover:
         ]
         assert_cover_holds_the_labels(space, k, unconstrained(space).instances, cover)
         assert search(encode_ftu(space, ConstraintSet(), k)).satisfiable
+
+    def test_cover_of_random_trees_with_shared_nodes(self, random_shared_tree):
+        rng = random.Random(24)
+        shared = set()
+        for _ in range(80):
+            space = random_space(rng, max_features=5)
+            k = random_shared_tree(rng, space)
+            instances = unconstrained(space).instances
+            cover = _cover(k, space)
+            assert_cover_holds_the_labels(space, k, instances, cover)
+            for x in instances:
+                assert sum(in_cube(x, held, failed) for _, held, failed in cover) == 1
+            reached = set(k._order)
+            edges = [
+                child
+                for node in k.nodes
+                if isinstance(node, TreeNode) and node.id in reached
+                for child in (node.if_true, node.if_false)
+            ]
+            shared.add(len(edges) > len(set(edges)))
+        assert shared == {True, False}
+
+    def test_an_unreachable_protected_test_scopes_nothing(self):
+        # node 3 tests the protected p but no edge reaches it, so the
+        # root is free and the whole space is one free cube
+        space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "p", B, True)])
+        nodes = (
+            TreeNode(0, 0, True, 1, 2),
+            TreeLeaf(1, 0),
+            TreeLeaf(2, 1),
+            TreeNode(3, 1, True, 2, 1),
+        )
+        k = TreeClassifier(nodes, 0, 2)
+        assert _cover(k, space) == [(None, (), ())]
+        assert not search(encode_ftu(space, ConstraintSet(), k)).satisfiable
+
+    @pytest.mark.parametrize("n, cubes", [(10, 1024), (12, 4096)])
+    def test_a_shared_chain_gives_a_cube_per_path(self, n, cubes):
+        # tests f0 .. f{n-1}, both branches of each but the last pointing
+        # at the next; the last feature is protected, so every node is
+        # scoped and the walk gives one labelled cube per path
+        space = FeatureSpace([Feature(i, f"f{i}", B, i == n - 1) for i in range(n)])
+        nodes = [TreeNode(i, i, True, i + 1, i + 1) for i in range(n - 1)]
+        nodes += [TreeNode(n - 1, n - 1, True, n, n + 1), TreeLeaf(n, 1), TreeLeaf(n + 1, 0)]
+        cover = _cover(TreeClassifier(tuple(nodes), 0, 2), space)
+        assert len(cover) == cubes
+        assert {label for label, _, _ in cover} == {0, 1}
 
 
 def wide_space(rng: random.Random, n: int) -> tuple[FeatureSpace, ConstraintSet]:
