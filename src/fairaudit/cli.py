@@ -406,9 +406,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export_cnf(args) -> int:
-    space, constraints, k, digest = _load(args)
-    cs = model.enumerate_space(space, constraints)
-    formula = satcheck.encode_ftu_counterexample(cs, k)
+    space, constraints, k, _ = _load(args)
+    formula = satcheck.encode_ftu(space, constraints, k)  # no enumeration: any size
     text = satcheck.export_dimacs(formula)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

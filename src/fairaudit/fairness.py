@@ -11,7 +11,8 @@ The three classifier-level notions, strongest first:
 Looseness and disentangledness are the cheaper structural conditions
 that tie FTU back to existential fairness. FTU, its completion,
 looseness and decomposability are projections of rank masks
-(ConstrainedSpace.exists). All witness choices are the least in
+(ConstrainedSpace.exists), and FTU fails exactly at
+ConstrainedSpace.label_clash. All witness choices are the least in
 canonical enumeration order. An empty constrained space makes every
 check vacuously true; callers can surface space_warnings().
 """
@@ -146,21 +147,12 @@ def check_ftu(
 def _check_ftu_exhaustive(
     cs: ConstrainedSpace, k: Classifier
 ) -> tuple[bool, tuple[Instance, Instance] | None]:
-    # FTU fails where the label projections of two labels meet in F[C]
-    seen = twice = 0
-    for e in _label_projections(cs, k).values():
-        twice |= seen & e
-        seen |= e
-    if not twice & cs.sel:
+    clash = cs.label_clash(k)
+    if not clash:
         return True, None
-    x = cs.least(twice & cs.sel)
+    x = cs.least(clash)
     same = cs.label_mask(k, cs.label_at(k, x))
     return False, (x, cs.least(cs.coverage_mask(x, cs.space.unprotected) & ~same))
-
-
-def _label_projections(cs: ConstrainedSpace, k: Classifier) -> dict[int, int]:
-    """Per label c, the ranks whose unprotected values an F[C] instance labelled c has."""
-    return {c: cs.exists(m, cs.space.protected) for c, m in cs.label_masks(k).items()}
 
 
 def _projection_count(cs: ConstrainedSpace, mask: int, forget: Iterable[int]) -> int:
@@ -183,7 +175,8 @@ def build_completion(
     if not 0 <= default_label < k.class_count:
         raise ModelSemanticError(f"default label {default_label} out of range")
     labels = [default_label] * cs.size
-    for c, e in _label_projections(cs, k).items():  # disjoint under FTU
+    for c, m in cs.label_masks(k).items():  # projections disjoint under FTU
+        e = cs.exists(m, cs.space.protected)
         for r in compress(range(cs.size), bit_flags(e, cs.size)):
             labels[r] = c
     domains = tuple(f.domain for f in cs.space.features)
@@ -217,7 +210,7 @@ def loose_violators(cs: ConstrainedSpace) -> dict[int, int]:
     def make() -> dict[int, int]:
         return {
             p: sum(  # disjoint across p's values
-                cs.sel & m & ~cs.exists(cs.sel & ~m, protected)
+                cs.whole(m)
                 for m in cs.rank_masks[p].values()
                 if _projection_count(cs, cs.sel & m, protected) >= 2
             )
@@ -273,21 +266,15 @@ def _disentangled_mask(
     another unprotected cube: at the ranks whose cube lies inside both
     cov(t) and [p = v], when M spans two cubes or more."""
     protected = cs.space.protected
-
-    def whole(m: int) -> int:  # the ranks whose unprotected cube lies inside m
-        return cs.sel & ~cs.exists(cs.sel & ~m, protected)
-
-    holds = 0
-    for lab in cs.label_masks(k).values():
-        holds |= whole(lab)
-    literals = [(m, whole(m)) for p in protected for m in cs.rank_masks[p].values()]
+    holds = cs.sel & ~cs.label_clash(k)
+    literals = [(m, cs.whole(m)) for p in protected for m in cs.rank_masks[p].values()]
     pinned = 0  # the ranks whose cube fixes some protected value
     for _, w in literals:
         pinned |= w
     for t in found:
         if not t.cov & holds & pinned:
             continue
-        inside = whole(t.cov) & holds
+        inside = cs.whole(t.cov) & holds
         for m, w in literals:
             hit = inside & w
             if hit and _projection_count(cs, t.cov & m, protected) >= 2:

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import partial, reduce
 from itertools import compress, product
 from math import prod
-from operator import add
+from operator import add, or_
 from typing import Iterable, Mapping, Sequence
 
 from . import boolexpr
@@ -322,6 +322,21 @@ class ConstrainedSpace:
             for shift in shifts:
                 mask |= base << shift
         return mask
+
+    def whole(self, mask: int) -> int:
+        """The ranks of F[C] whose unprotected cube, the ranks of F[C]
+        with their unprotected values, lies inside the mask."""
+        return self.sel & ~self.exists(self.sel & ~mask, self.space.protected)
+
+    def label_clash(self, classifier) -> int:
+        """The ranks of F[C] whose unprotected cube holds two labels:
+        where constrained FTU fails."""
+
+        def make() -> int:
+            inside_one = map(self.whole, self.label_masks(classifier).values())
+            return self.sel & ~reduce(or_, inside_one, 0)
+
+        return self.memo(("label_clash", classifier), make)
 
     def memo(self, key, make):
         """The value cached under key, made by make() on first use.

@@ -18,7 +18,7 @@ instances whose label no change of the protected features alone can
 alter, is covered by cubes with no label and no protected test, each
 ruled out by one clause: such a cube holds in both copies or in
 neither. The rest is covered by cubes of one label each, prime
-implicants over the table's own domains (explain._prime_cubes, at most
+implicants of the table's rows (explain._prime_cubes, at most
 TABLE_LIMIT rows) or the tree's leaves' paths; each gives a clause per
 copy ending in its label's selector, and a clause per class keeps the
 copies off the same selector.
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import boolexpr, explain
 from .boolexpr import And, BoolExpr, Const, Eq, Iff, Implies, Le, Lt, Not, Or, Var
@@ -45,7 +44,6 @@ from .classifier import (
     TreeClassifier,
     TreeLeaf,
     TreeNode,
-    same_domains,
 )
 from .errors import CapacityError, DocumentError, ModelSemanticError
 from .model import ConstrainedSpace, ConstraintSet, FeatureSpace, Instance, unconstrained
@@ -86,7 +84,6 @@ class SearchResult:
     satisfiable: bool
     model: dict[int, bool] | None
     nodes: int
-    seconds: float
 
 
 class _Builder:
@@ -226,10 +223,13 @@ class _Copy:
                 builder.clauses += [(-a, -b) for a, b in itertools.combinations(lits, 2)]
 
     def value_literal(self, feature: int, value) -> int:
+        """The test feature = value, read as the label masks read it: by
+        ==, a value off the domain being the false constant."""
         if feature in self.bool_var:
             var = self.bool_var[feature]
-            return var if value else -var
-        lit = self.onehot[feature].get(value)  # None for a value off the domain
+            lit = (var if value else -var) if value in (False, True) else None
+        else:
+            lit = self.onehot[feature].get(value)
         return self.builder.const(False) if lit is None else lit
 
     def outside(self, held, failed) -> tuple[int, ...]:
@@ -257,7 +257,7 @@ class _Copy:
                 lit = b.and_gate([lits[c] for c in key[1:]])
             elif op is Or:
                 lit = b.or_gate([lits[c] for c in key[1:]])
-            elif op is Var:
+            elif op is Var and self.space.features[key[1]].is_boolean:
                 lit = self.value_literal(key[1], True)
             elif op is Implies:
                 lit = b.or_gate([-lits[key[1]], lits[key[2]]])
@@ -265,10 +265,13 @@ class _Copy:
                 lit = b.iff_gate(lits[key[1]], lits[key[2]])
             elif op is Const:
                 lit = b.const(key[1])
-            else:  # Le, Lt: an or over the values the comparison keeps
-                _, feature, bound = key
+            else:  # Var on integers, Le, Lt: an or over the values the test keeps
+                feature = key[1]
                 domain = self.space.features[feature].domain
-                hits = [v for v in domain if (v <= bound if op is Le else v < bound)]
+                if op is Var:
+                    hits = [v for v in domain if v]
+                else:
+                    hits = [v for v in domain if (v <= key[2] if op is Le else v < key[2])]
                 if not hits or len(hits) == len(domain):
                     lit = b.const(bool(hits))
                 else:
@@ -350,18 +353,17 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
     own label and in none of another, and every such cube tests a
     protected feature.
 
-    A table's free region is every rank whose projection off the
-    protected features gets one label over the table's own domains (at
-    most TABLE_LIMIT rows); its cubes are the region's prime implicants
-    (explain._prime_cubes), and label c's are the primes of its rows and
-    the free region that meet c's rows outside it. Such a prime tests a
-    protected feature, for leaving them all free would reach a row of
-    another label outside the free region. A free instance may lie in a
-    prime of another label too; a free cube rules it out all the same.
-    When the table's domains are the space's, type for type
-    (classifier.same_domains), the space is the table's own and is used
-    as it is; a table with wider or differently typed domains gets a
-    space of its own domains.
+    A table (at most TABLE_LIMIT rows) is read over the unconstrained
+    space, whose label masks refuse a table whose domains are not the
+    space's, type for type, as the exhaustive engine's do. Its free
+    region is every rank outside that space's label_clash, the ranks
+    whose projection off the protected features gets two labels; its
+    cubes are the region's prime implicants (explain._prime_cubes), and
+    label c's are the primes of its rows and the free region that meet
+    c's rows outside it. Such a prime tests a protected feature, for
+    leaving them all free would reach a row of another label outside the
+    free region. A free instance may lie in a prime of another label
+    too; a free cube rules it out all the same.
 
     A tree's free region is cut where its walk, depth first and true
     branch first, reaches a node with no protected test on its path or
@@ -373,10 +375,11 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
     parents (TreeClassifier._order reversed): a test is one when it
     tests a protected feature or either child is one. The walk uses an
     explicit stack, since a chain of tests can be deeper than the
-    recursion limit. A path's failed tests on a
-    feature it passes a test on drop out: the value it passes implies
-    them (by a one-hot group's at-most-one), and a chain of failed tests
-    would make long clauses."""
+    recursion limit. It gives a cube per path, so a tree whose shared
+    nodes make more cubes than it has nodes and TABLE_LIMIT is refused.
+    A path's failed tests on a feature it passes a test on drop out: the
+    value it passes implies them (by a one-hot group's at-most-one), and
+    a chain of failed tests would make long clauses."""
     protected = space.protected
     if isinstance(k, TableClassifier):
         size = len(k.labels)
@@ -385,22 +388,9 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
                 f"table classifier with {size} rows exceeds the clause-expansion "
                 f"limit {TABLE_LIMIT}"
             )
-        # a space value the table lacks is an instance it gives no label
-        if len(k.domains) != space.n or any(
-            v not in d for f, d in zip(space.features, k.domains) for v in f.domain
-        ):
-            raise ModelSemanticError("table domains differ from the space's")
-        if not same_domains([f.domain for f in space.features], k.domains):
-            space = FeatureSpace(
-                [replace(f, domain=d) for f, d in zip(space.features, k.domains)]
-            )
         table = unconstrained(space)
         by_label = table.label_masks(k)
-        seen = mixed = 0  # mixed: the ranks whose projection has two labels
-        for rows in by_label.values():
-            projection = table.exists(rows, protected)
-            mixed |= seen & projection
-            seen |= projection
+        mixed = table.label_clash(k)
         free = table.sel & ~mixed
         return [(None, cube, ()) for cube in explain._prime_cubes(table, free, free)] + [
             (c, cube, ())
@@ -415,6 +405,7 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
         ):
             scoped.add(node_id)
     cover = []
+    limit = max(len(k._order), TABLE_LIMIT)  # only shared nodes give more cubes than nodes
     walk: list[tuple[int, tuple, tuple, bool]] = [(k.root, (), (), False)]
     while walk:
         node_id, held, failed, tested = walk.pop()  # tested: the path tests a protected feature
@@ -423,6 +414,8 @@ def _cover(k: TableClassifier | TreeClassifier, space: FeatureSpace) -> list[tup
             passed = {f for f, _ in held}
             failed = tuple(t for t in failed if t[0] not in passed)
             cover.append((node.label if tested else None, held, failed))
+            if len(cover) > limit:
+                raise CapacityError(f"tree classifier covered by more than {limit} cubes")
             continue
         test = (node.feature, node.value)
         tested = tested or node.feature in protected
@@ -439,16 +432,15 @@ def search(formula: CnfFormula) -> SearchResult:
     Repeated literals are merged and tautologies dropped first.
     ``nodes`` counts decisions. A model is total and checked against
     every original clause before it is returned."""
-    start = time.perf_counter()
     solver = _Solver(formula)
     if not solver.solve():
-        return SearchResult(False, None, solver.nodes, time.perf_counter() - start)
+        return SearchResult(False, None, solver.nodes)
     value = solver.value
     model = {v: value[v] == 1 for v in range(1, formula.variable_count + 1)}
     for clause in formula.clauses:
         if not any(model[abs(lit)] == (lit > 0) for lit in clause):
             raise AssertionError("search returned a non-model")
-    return SearchResult(True, model, solver.nodes, time.perf_counter() - start)
+    return SearchResult(True, model, solver.nodes)
 
 
 class _Solver:
@@ -774,8 +766,9 @@ def _ascii_int(token: str) -> int:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Read DIMACS CNF: literals are -?[0-9]+ and the header's counts
-    [0-9]+. A comment whose second word is a variable number names it."""
+    """Read DIMACS CNF: one header, whose counts are [0-9]+, and literals
+    -?[0-9]+. A comment whose second word is the number of a declared
+    variable names it; any other comment is plain text."""
     variable_count = None
     expected = None
     clauses: list[tuple[int, ...]] = []
@@ -794,6 +787,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                     pass  # a comment of plain text
             continue
         if line.startswith("p"):
+            if variable_count is not None:
+                raise DocumentError(f"second DIMACS header on line {lineno}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DocumentError(f"bad DIMACS header on line {lineno}")
@@ -820,8 +815,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         clauses.append(tuple(pending))
     if variable_count is None:
         raise DocumentError("missing DIMACS header")
-    if expected is not None and expected != len(clauses):
+    if expected != len(clauses):
         raise DocumentError(
             f"header promises {expected} clauses, found {len(clauses)}"
         )
-    return CnfFormula(variable_count, tuple(clauses), comments)
+    names = {v: name for v, name in comments.items() if 1 <= v <= variable_count}
+    return CnfFormula(variable_count, tuple(clauses), names)

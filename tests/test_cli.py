@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from fairaudit import explain, fairness, make_decision, model, parse_dimacs, search
+from fairaudit import (
+    classifier,
+    explain,
+    fairness,
+    make_decision,
+    model,
+    parse_dimacs,
+    satcheck,
+    search,
+)
 from fairaudit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -379,6 +388,54 @@ class TestExportCnf:
         assert searched[0] == 0 and searched[2] == ""
         code, _, err = run(capsys, "export-cnf", str(doc), str(tmp_path / "q.cnf"))
         assert code == 0 and err == ""
+
+    def test_a_space_past_the_enumeration_cap_exports(self, capsys, tmp_path):
+        # 2^40 instances: the query reads the features and constraints only
+        document = {
+            "features": [
+                {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
+                for i in range(40)
+            ],
+            "constraints": ["(implies f0 f1)"],
+            "classifier": {"form": "expression", "expr": "(or (and f0 f1) (and f1 f39))"},
+        }
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps(document))
+        code, _, err = run(capsys, "audit", str(doc))
+        assert code == 2 and "cap is" in err
+        out_file = tmp_path / "q.cnf"
+        code, out, err = run(capsys, "export-cnf", str(doc), str(out_file))
+        assert code == 0 and err == ""
+        parsed = parse_dimacs(out_file.read_text())
+        space, constraints, k_obj = model.parse_document(json.dumps(document))
+        k = classifier.parse_classifier(k_obj, space)
+        formula = satcheck.encode_ftu(space, constraints, k)
+        assert (parsed.variable_count, parsed.clauses) == (formula.variable_count, formula.clauses)
+        assert out.startswith(f"wrote {out_file}: {formula.variable_count} variables")
+        assert search(parsed).satisfiable == search(formula).satisfiable is True
+
+    def test_a_shared_tree_past_the_cap_stops_at_the_expansion_limit(self, capsys, tmp_path):
+        # both branches of test i lead to test i + 1: 2^40 paths below the
+        # protected root, each a cube of the cover, which stops at 4,096
+        document = {
+            "features": [
+                {"name": f"f{i}", "domain": [False, True], "protected": i == 0}
+                for i in range(40)
+            ],
+            "classifier": {
+                "form": "tree",
+                "nodes": [
+                    {"id": i, "feature": f"f{i}", "value": True, "if_true": i + 1, "if_false": i + 1}
+                    for i in range(40)
+                ]
+                + [{"id": 40, "label": 1}],
+            },
+        }
+        doc = tmp_path / "shared-chain.json"
+        doc.write_text(json.dumps(document))
+        code, out, err = run(capsys, "export-cnf", str(doc), str(tmp_path / "q.cnf"))
+        assert code == 2 and out == ""
+        assert err == "error: tree classifier covered by more than 4096 cubes\n"
 
     @pytest.mark.parametrize("target", ["missing/q.cnf", "."])
     def test_unwritable_output_is_a_user_error(self, capsys, tmp_path, target):

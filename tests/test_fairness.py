@@ -115,30 +115,24 @@ class TestFtu:
             ftu_at(loaded.constrained(), loaded.classifier, (True, True, False))
 
     @pytest.mark.parametrize(
-        "space_domain, table_domain, searched",
-        [((0, 1, 2), (0, 1, 2, 5), True), ((0, 1, 2), (0, 1), False), ((0, 1), B, True)],
+        "space_domain, table_domain",
+        [((0, 1, 2), (0, 1, 2, 5)), ((0, 1, 2), (0, 1)), ((0, 1), B)],
         ids=["wider", "narrower", "typed"],
     )
     def test_a_table_over_other_domains_is_refused_by_the_mask_engine(
-        self, space_domain, table_domain, searched
+        self, space_domain, table_domain
     ):
         # the table's rows are laid out over its own domain of n, not
         # the space's; (False, True) equals (0, 1) but for its types.
-        # Exhaustive FTU reads label masks and must refuse; the search
-        # reads the table's cubes and still answers, unless the table
-        # lacks a value of the space's, which it gives no label
+        # Both engines read the table's label masks, which refuse it
         space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "n", space_domain, True)])
         domains = (B, table_domain)
         labels = tuple(int(n == 5) for _, n in itertools.product(*domains))
         k = TableClassifier(domains, labels, 2)
         cs = unconstrained(space)
-        with pytest.raises(ModelSemanticError, match="table domains"):
-            check_ftu(cs, k, "exhaustive")
-        if searched:
-            assert check_ftu(cs, k, "search") == (True, None)
-        else:
-            with pytest.raises(ModelSemanticError, match="table domains"):
-                check_ftu(cs, k, "search")
+        for engine in ("exhaustive", "search"):
+            with pytest.raises(ModelSemanticError, match="table domains differ from the space's"):
+                check_ftu(cs, k, engine)
 
     def test_the_search_refuses_a_table_without_a_value_of_the_space(self):
         # protected n has the value 2 in the space and none in the table,
@@ -195,6 +189,41 @@ def brute_force_ftu(cs, k):
             if all(y[i] == x[i] for i in unprotected) and k.evaluate(y) != k.evaluate(x):
                 return False, (x, y)
     return True, None
+
+
+class TestProtectedProjections:
+    """ConstrainedSpace.label_clash and whole against their definitions,
+    read one instance of F[C] at a time."""
+
+    @staticmethod
+    def check(cs, k):
+        unprotected = sorted(cs.space.unprotected)
+        cubes: dict[tuple, list[int]] = {}  # per unprotected projection, its ranks in F[C]
+        for x in cs.instances:
+            cubes.setdefault(tuple(x[i] for i in unprotected), []).append(cs.rank(x))
+        clash = cs.label_clash(k)
+        for x in cs.instances:
+            assert bool(clash >> cs.rank(x) & 1) == (not ftu_at(cs, k, x))
+        for p in sorted(cs.space.protected):
+            for m in cs.rank_masks[p].values():
+                inside = [r for cube in cubes.values() if all(m >> s & 1 for s in cube) for r in cube]
+                assert cs.whole(m) == sum(1 << r for r in inside)
+        assert clash == cs.label_clash(k)  # memoised: the same value again
+
+    def test_on_every_fixture(self, load_model, fixtures_dir):
+        for path in sorted(fixtures_dir.glob("*.json")):
+            loaded = load_model(path.stem)
+            self.check(loaded.constrained(), loaded.classifier)
+            self.check(loaded.full(), loaded.classifier)
+
+    def test_on_random_models(self):
+        holds = []
+        for seed in range(120):
+            rm = random_model(random.Random(seed))
+            cs = enumerate_space(rm.space, rm.constraints)
+            self.check(cs, rm.classifier)
+            holds.append(not cs.label_clash(rm.classifier))
+        assert 10 <= sum(holds) <= 110
 
 
 class TestClassifierVerdict:

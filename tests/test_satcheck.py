@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import (
+    CapacityError,
     CnfFormula,
     DocumentError,
     ExpressionClassifier,
@@ -247,11 +248,31 @@ class TestCnfValidation:
         with pytest.raises(DocumentError, match=message):
             parse_dimacs(text)
 
-    # "\u00b2".isdigit() holds, and int() refuses 5,000 digits
-    @pytest.mark.parametrize("word", ["\u00b2", "1" * 5000], ids=["superscript", "long"])
+    # "\u00b2".isdigit() holds, and int() refuses 5,000 digits; 0 and 2
+    # are numbers, but of no variable the header declares
+    @pytest.mark.parametrize(
+        "word", ["\u00b2", "1" * 5000, "0", "2"], ids=["superscript", "long", "zero", "undeclared"]
+    )
     def test_a_comment_whose_second_word_names_no_variable_is_text(self, word):
-        formula = parse_dimacs(f"c {word} x\np cnf 1 1\n1 0\n")
+        formula = parse_dimacs(f"c {word} x\np cnf 1 1\n1 0\nc {word} y\n")
         assert (formula.comment_map, formula.clauses) == ({}, ((1,),))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("p cnf 1 1\n1 0\np cnf 3 2\n2 0\n", 3), ("c x\np cnf 1 0\np cnf 1 0\n", 3)],
+        ids=["after-a-clause", "repeated"],
+    )
+    def test_a_second_header_is_a_document_error(self, text, line):
+        with pytest.raises(DocumentError, match=f"second DIMACS header on line {line}$"):
+            parse_dimacs(text)
+
+    def test_a_parsed_legend_decodes(self):
+        # the legend names x.a, and 7 names no declared variable
+        formula = parse_dimacs("c 1 x.a\nc 7 y.p\np cnf 2 1\n1 0\n")
+        assert formula.comment_map == {1: "x.a"}
+        space = FeatureSpace([Feature(0, "a", B, False), Feature(1, "p", B, True)])
+        pair = decode_model(formula, {1: True, 2: False}, unconstrained(space))
+        assert pair == ((True, False), (True, False))
 
 
 class TestSearch:
@@ -453,29 +474,7 @@ class TestEncoding:
         for x in sample:
             assert sum(in_cube(x, held, failed) for _, held, failed in cover) == 1
 
-    @pytest.mark.parametrize("fair", [True, False])
-    def test_table_values_off_the_space_domain_never_hold(self, fair):
-        # a table over a wider domain than the space's: the rows where n
-        # is 5 read the false constant, so only a and, when unfair, n
-        # decide the label
-        space = FeatureSpace(
-            [Feature(0, "a", B, False), Feature(1, "n", (0, 1, 2), True)]
-        )
-        domains = (B, (0, 1, 2, 5))
-        labels = tuple(
-            int(n == 5 or a != (not fair and n == 2))
-            for a, n in itertools.product(*domains)
-        )
-        formula = encode_ftu_counterexample(
-            unconstrained(space), TableClassifier(domains, labels, 2)
-        )
-        names = {name: var for var, name in formula.comment_map.items()}
-        assert (names["const.true"],) in formula.clauses
-        assert search(formula).satisfiable == (not fair)
-
     def test_table_expansion_respects_the_limit(self):
-        from fairaudit import CapacityError
-
         # 13 boolean features: 8,192 rows, above TABLE_LIMIT
         space = FeatureSpace([Feature(i, f"f{i}", B, i == 0) for i in range(13)])
         table = to_table(ExpressionClassifier(parse_expr("(or f0 f1)", space)), space)
@@ -646,7 +645,8 @@ class TestCircuit:
 def random_table(rng: random.Random, off_space: bool):
     """A space of 1-4 features, domains of 1-4 values, some protected,
     and a table of up to 4 classes over it; with off_space, one feature
-    of the table has a value the space's domain lacks."""
+    of the table has a value the space's domain lacks, so both engines
+    refuse the table."""
     space_domains = []
     for _ in range(rng.randint(1, 4)):
         size = rng.randint(1, 4)
@@ -673,13 +673,12 @@ class TestTableCover:
         rng = random.Random(18)
         for trial in range(150):
             space, k = random_table(rng, off_space=trial % 3 == 0)
+            if trial % 3 == 0:
+                with pytest.raises(ModelSemanticError, match="table domains differ"):
+                    encode_ftu(space, ConstraintSet(), k)
+                continue
             formula = encode_ftu(space, ConstraintSet(), k)
-            # no assignment of x holds a value off the space
-            rows = [
-                row
-                for row in itertools.product(*k.domains)
-                if all(v in f.domain for f, v in zip(space.features, row))
-            ]
+            rows = list(itertools.product(*k.domains))
             assert_cover_selects_the_label(formula, space, k, rows)
 
     def test_search_agrees_with_exhaustive_on_random_tables(self):
@@ -688,6 +687,11 @@ class TestTableCover:
         for trial in range(150):
             space, k = random_table(rng, off_space=trial % 3 == 0)
             cs = unconstrained(space)
+            if trial % 3 == 0:
+                for engine in ("exhaustive", "search"):
+                    with pytest.raises(ModelSemanticError, match="table domains differ"):
+                        check_ftu(cs, k, engine)
+                continue
             # the pairwise definition, over the space's own instances
             by_projection: dict[tuple, set] = {}
             for x in cs.instances:
@@ -699,8 +703,7 @@ class TestTableCover:
             assert result.satisfiable == (not fair)
             if result.satisfiable:
                 decode_model(formula, result.model, cs, k)
-            if trial % 3:  # the table's domains are the space's
-                assert check_ftu(cs, k, "search")[0] == check_ftu(cs, k, "exhaustive")[0] == fair
+            assert check_ftu(cs, k, "search")[0] == check_ftu(cs, k, "exhaustive")[0] == fair
             seen.add(fair)
         assert seen == {True, False}
 
@@ -874,15 +877,26 @@ class TestTreeCover:
 
     @pytest.mark.parametrize("n, cubes", [(10, 1024), (12, 4096)])
     def test_a_shared_chain_gives_a_cube_per_path(self, n, cubes):
-        # tests f0 .. f{n-1}, both branches of each but the last pointing
-        # at the next; the last feature is protected, so every node is
-        # scoped and the walk gives one labelled cube per path
-        space = FeatureSpace([Feature(i, f"f{i}", B, i == n - 1) for i in range(n)])
-        nodes = [TreeNode(i, i, True, i + 1, i + 1) for i in range(n - 1)]
-        nodes += [TreeNode(n - 1, n - 1, True, n, n + 1), TreeLeaf(n, 1), TreeLeaf(n + 1, 0)]
-        cover = _cover(TreeClassifier(tuple(nodes), 0, 2), space)
+        space, k = shared_chain(n)
+        cover = _cover(k, space)
         assert len(cover) == cubes
         assert {label for label, _, _ in cover} == {0, 1}
+
+    def test_a_shared_chain_past_the_expansion_limit_is_refused(self):
+        # 2^13 paths over 15 nodes: more cubes than nodes and TABLE_LIMIT
+        space, k = shared_chain(13)
+        with pytest.raises(CapacityError, match=f"^tree classifier covered by more than {TABLE_LIMIT} cubes$"):
+            encode_ftu(space, ConstraintSet(), k)
+
+
+def shared_chain(n: int) -> tuple[FeatureSpace, TreeClassifier]:
+    """Tests of f0 .. f{n-1}, both branches of each but the last pointing
+    at the next; the last feature is protected, so every node is scoped
+    and the walk gives one labelled cube per path, 2^n in all."""
+    space = FeatureSpace([Feature(i, f"f{i}", B, i == n - 1) for i in range(n)])
+    nodes = [TreeNode(i, i, True, i + 1, i + 1) for i in range(n - 1)]
+    nodes += [TreeNode(n - 1, n - 1, True, n, n + 1), TreeLeaf(n, 1), TreeLeaf(n + 1, 0)]
+    return space, TreeClassifier(tuple(nodes), 0, 2)
 
 
 def wide_space(rng: random.Random, n: int) -> tuple[FeatureSpace, ConstraintSet]:
@@ -1026,6 +1040,35 @@ class TestEngineAgreement:
             else:
                 unsat_seen += 1
         assert sat_seen >= 5 and unsat_seen >= 5
+
+
+class TestValueReading:
+    """The search reads a test as the label masks and evaluate do: a
+    value by ==, one off the domain never holding, and a bare integer
+    feature as true at its nonzero values."""
+
+    @pytest.mark.parametrize(
+        "classifier, constraint",
+        [
+            (TreeClassifier((TreeNode(0, 1, 2, 1, 2), TreeLeaf(1, 1), TreeLeaf(2, 0)), 0, 2), None),
+            (TreeClassifier((TreeNode(0, 1, 1, 1, 2), TreeLeaf(1, 1), TreeLeaf(2, 0)), 0, 2), None),
+            (ExpressionClassifier(Eq(1, 2)), None),
+            (ExpressionClassifier(Var(2)), None),
+            (ExpressionClassifier(Var(2)), "(not (= n 0))"),
+        ],
+        ids=["tree-p-2", "tree-p-1", "expr-p-2", "var-n", "var-n-nonzero"],
+    )
+    def test_search_agrees_with_exhaustive(self, classifier, constraint):
+        space = FeatureSpace(
+            [Feature(0, "a", B, False), Feature(1, "p", B, True), Feature(2, "n", (0, 1, 2), True)]
+        )
+        texts = [] if constraint is None else [constraint]
+        constraints = ConstraintSet(tuple(Constraint(parse_expr(t, space)) for t in texts))
+        cs = enumerate_space(space, constraints)
+        holds = check_ftu(cs, classifier, "exhaustive")[0]
+        assert check_ftu(cs, classifier, "search")[0] == holds  # a witness is decoded and checked
+        # the label reads protected features only: FTU holds when it is constant
+        assert holds == (len({classifier.evaluate(x) for x in cs.instances}) == 1)
 
 
 class TestDimacs:
